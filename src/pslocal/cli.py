@@ -26,13 +26,11 @@ from .core import (
     JointTable,
     Scenario,
     named_correlation,
-    rational,
+    slice_point,
     table_from_json,
     table_to_dict,
-    to_cg,
-    to_full,
 )
-from .errors import PslocalError
+from .errors import IdentityFailed, PslocalError
 from .inequalities import (
     ch,
     ch_eta,
@@ -49,15 +47,17 @@ from . import quantum
 _NAMED = {"pr": "PR", "pr2": "PR'", "pr'": "PR'", "r": "r", "s": "s"}
 
 
-def _parse_rational(value: str) -> Fraction:
-    return rational(value)
+_BUDGET_PART = r"(\d+(?:\.\d+)?)([hms]?)"
 
 
 def _parse_budget(text: Optional[str]) -> Optional[float]:
+    """Seconds in a budget such as "90", "10s", "2m" or "1h30m"."""
     if text is None:
         return None
+    if not re.fullmatch(f"(?:{_BUDGET_PART})+", text):
+        raise click.UsageError(f"cannot parse budget {text!r}")
     total = 0.0
-    for amount, unit in re.findall(r"(\d+(?:\.\d+)?)\s*([hms]?)", text):
+    for amount, unit in re.findall(_BUDGET_PART, text):
         total += float(amount) * {"h": 3600, "m": 60, "s": 1, "": 1}[unit]
     if total <= 0:
         raise click.UsageError(f"cannot parse budget {text!r}")
@@ -120,13 +120,8 @@ def _with(options):
 
 
 @click.group()
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="cap on inner parallelism (current modules are sequential)")
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Exact tools for Bell local polytopes under post-selection."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 def _domain_errors(f):
@@ -256,8 +251,11 @@ def derive(etaA, etaB, budget, out, fmt):
     _emit(payload, out, fmt)
 
 
+_POSITIVE = click.IntRange(min=1)
+
+
 @main.command()
-@click.option("--grid", type=int, default=41, show_default=True)
+@click.option("--grid", type=_POSITIVE, default=41, show_default=True)
 @_with(common_out)
 @_domain_errors
 def regions(grid, out, fmt):
@@ -268,7 +266,7 @@ def regions(grid, out, fmt):
 @main.command(name="slice")
 @click.option("--etaA", "etaA", required=True)
 @click.option("--etaB", "etaB", required=True)
-@click.option("--grid", type=int, default=41, show_default=True)
+@click.option("--grid", type=_POSITIVE, default=41, show_default=True)
 @click.option("--basis", default="pr2,pr,r", show_default=True,
               help="slice spanned by these three named correlations")
 @_with(common_out)
@@ -293,16 +291,6 @@ def _lps_hrep(eff: Efficiencies):
     return ineqs
 
 
-def _slice_point(x: Fraction, y: Fraction):
-    base = to_cg(named_correlation("r")).coords
-    d1 = to_cg(named_correlation("PR'")).coords
-    d2 = to_cg(named_correlation("PR")).coords
-    coords = tuple(
-        r + x * (a - r) + y * (b - r) for r, a, b in zip(base, d1, d2)
-    )
-    return core.CGVector(CHSH, coords)
-
-
 def _slice_rows(eff: Efficiencies, grid: int):
     lps = _lps_hrep(eff)
     local_facets = poly.enumerate_facets(poly.local_polytope(CHSH))
@@ -312,7 +300,7 @@ def _slice_rows(eff: Efficiencies, grid: int):
         x = Fraction(-grid + 1 + 2 * i, grid - 1) if grid > 1 else Fraction(0)
         for j in range(grid):
             y = Fraction(-grid + 1 + 2 * j, grid - 1) if grid > 1 else Fraction(0)
-            v = _slice_point(x, y)
+            v = slice_point(x, y)
             in_ns = all(f.satisfied_by(v) for f in ns)
             rows.append(
                 {
@@ -357,16 +345,16 @@ def emit_figure_data(figure: int, eff: Optional[Efficiencies], grid: int):
             import math
 
             samples = 64
+            lps = _lps_hrep(eff)
             circle = []
             for k in range(samples):
                 phi = 2 * math.pi * k / samples
                 cx = math.cos(phi) / math.sqrt(2)
                 cy = math.sin(phi) / math.sqrt(2)
-                q = _slice_point(
+                q = slice_point(
                     Fraction(cx).limit_denominator(10 ** 9),
                     Fraction(cy).limit_denominator(10 ** 9),
                 )
-                lps = _lps_hrep(eff)
                 circle.append(
                     {
                         "x": f"{cx:.12f}",
@@ -384,7 +372,7 @@ def emit_figure_data(figure: int, eff: Optional[Efficiencies], grid: int):
 @click.option("--figure", type=int, required=True)
 @click.option("--etaA", "etaA", default="1")
 @click.option("--etaB", "etaB", default="1")
-@click.option("--grid", type=int, default=41, show_default=True)
+@click.option("--grid", type=_POSITIVE, default=41, show_default=True)
 @_with(common_out)
 @_domain_errors
 def figure(figure, etaA, etaB, grid, out, fmt):
@@ -396,7 +384,7 @@ def figure(figure, etaA, etaB, grid, out, fmt):
 @click.option("--etaA", "etaA", required=True)
 @click.option("--etaB", "etaB", required=True)
 @click.option("--seed", type=int, default=20240817, show_default=True)
-@click.option("--restarts", type=int, default=64, show_default=True)
+@click.option("--restarts", type=_POSITIVE, default=64, show_default=True)
 @_with(common_out)
 @_domain_errors
 def quantum_cmd(etaA, etaB, seed, restarts, out, fmt):
@@ -436,11 +424,11 @@ def verify_paper(budget, out, fmt):
 
 def run_verification(budget_seconds: Optional[float] = None) -> dict:
     """Execute the whole verification pipeline and collect a claim report."""
-    deadline = time.time() + budget_seconds if budget_seconds else None
+    deadline = time.monotonic() + budget_seconds if budget_seconds else None
     claims = []
 
     def record(claim_id, fn):
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             claims.append({"id": claim_id, "status": "skipped-budget"})
             return
         try:
@@ -538,10 +526,12 @@ def run_verification(budget_seconds: Optional[float] = None) -> dict:
         for eta in ("82/100", "83/100", "84/100"):
             vals[eta] = quantum.circle_max(Efficiencies.of(eta, eta))
         closed = quantum.appendix_b_values(0.75)
-        assert abs(closed["ch_eta_value"] - closed["ch_eta_closed_form"]) < 1e-9
-        assert abs(closed["i3223_value"] - closed["i3223_closed_form"]) < 1e-9
+        for family in ("ch_eta", "i3223"):
+            if abs(closed[f"{family}_value"] - closed[f"{family}_closed_form"]) >= 1e-9:
+                raise IdentityFailed(f"{family} quantum value misses its closed form")
         scan = quantum.eberhard_scan(Efficiencies.of(1, 1), restarts=8)
-        assert scan["best_value"] >= 1 / math.sqrt(2) - 0.5 - 1e-6
+        if scan["best_value"] < 1 / math.sqrt(2) - 0.5 - 1e-6:
+            raise IdentityFailed("the scan fell short of the Tsirelson value")
         return {"circle_max": vals, "tsirelson": scan["best_value"]}
 
     record("quantum-closed-forms", quantum_checks)
@@ -549,7 +539,7 @@ def run_verification(budget_seconds: Optional[float] = None) -> dict:
     def one_sided_census():
         remaining = None
         if deadline is not None:
-            remaining = max(deadline - time.time(), 1.0)
+            remaining = max(deadline - time.monotonic(), 1.0)
         return psfacets.verify_appendix_b("9/10", remaining)
 
     record("one-sided-census", one_sided_census)

@@ -10,15 +10,17 @@ Conventions
 * Collins-Gisin coordinates are ordered as: Alice first-outcome marginals
   (by input, then outcome), Bob first-outcome marginals, then the joint block
   in row-major order (Alice label rows, Bob label columns).
+* A full table flattens to one tuple in (x, y, a, b) row-major order
+  (`flat_index`, `flatten`, `unflatten`); relabelings and functionals on
+  the full table space work on that layout.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -51,11 +53,6 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_rational(q: Fraction) -> str:
-    """Render a rational as "num/den" (or "num" for integers)."""
-    return str(q)
 
 
 @dataclass(frozen=True, order=True)
@@ -246,6 +243,33 @@ def cg_index_joint(s: Scenario, x: int, a: int, y: int, b: int) -> int:
     return alpha + beta + (x * (s.kA - 1) + a) * beta + (y * (s.kB - 1) + b)
 
 
+def flat_index(s: Scenario, x: int, y: int, a: int, b: int) -> int:
+    """Position of P(a,b|x,y) in the flat layout of a full table."""
+    return ((x * s.mB + y) * s.kA + a) * s.kB + b
+
+
+def flat_size(s: Scenario) -> int:
+    return s.mA * s.mB * s.kA * s.kB
+
+
+def flatten(t: JointTable) -> tuple:
+    """The entries of a full table in flat_index order."""
+    return tuple(v for plane in t.p for block in plane for row in block for v in row)
+
+
+def unflatten(s: Scenario, flat: Sequence, allow_negative: bool = False) -> JointTable:
+    """The table whose entries in flat_index order are ``flat`` (validated
+    like every JointTable)."""
+    if len(flat) != flat_size(s):
+        raise DimensionMismatch(f"expected {flat_size(s)} entries, got {len(flat)}")
+    it = iter(flat)
+    entries = [
+        [[[next(it) for _ in range(s.kB)] for _ in range(s.kA)] for _ in range(s.mB)]
+        for _ in range(s.mA)
+    ]
+    return JointTable(s, entries, allow_negative=allow_negative)
+
+
 def is_nonsignaling(t: JointTable) -> bool:
     """Exact check that both marginals are independent of the remote input."""
     s = t.scenario
@@ -410,9 +434,32 @@ def postselect(p0: JointTable, eff: Efficiencies) -> JointTable:
     return JointTable(s, entries)
 
 
-def _chsh_cg(marg_A, marg_B, joints) -> CGVector:
-    coords = tuple(marg_A) + tuple(marg_B) + tuple(itertools.chain(*joints))
-    return CGVector(CHSH, coords)
+# Collins-Gisin coordinates of the named CHSH correlations: marginals
+# (PA(1|1), PA(1|2), PB(1|1), PB(1|2)), then P(11|11), P(11|12), P(11|21),
+# P(11|22).
+_NAMED_CG = {
+    "PR": (HALF,) * 7 + (ZERO,),
+    "PR'": (HALF,) * 4 + (ZERO, HALF, HALF, HALF),
+    "r": (HALF,) * 4 + (Fraction(1, 4),) * 4,
+    "s": (ZERO,) * 8,
+}
+_NAMED_CG["PR2"] = _NAMED_CG["PR'"]
+
+# The slice x*PR' + y*PR + (1-x-y)*r through both PR boxes, as the CG
+# frame (r, PR' - r, PR - r): origin and the two direction vectors.
+SLICE_FRAME = (
+    _NAMED_CG["r"],
+    tuple(u - o for u, o in zip(_NAMED_CG["PR'"], _NAMED_CG["r"])),
+    tuple(u - o for u, o in zip(_NAMED_CG["PR"], _NAMED_CG["r"])),
+)
+
+
+def slice_point(x: RationalLike, y: RationalLike) -> CGVector:
+    """CG coordinates of x*PR' + y*PR + (1-x-y)*r (exact; may leave the
+    non-signaling polytope)."""
+    x, y = rational(x), rational(y)
+    origin, d1, d2 = SLICE_FRAME
+    return CGVector(CHSH, tuple(o + x * u + y * v for o, u, v in zip(origin, d1, d2)))
 
 
 def named_correlation(name: str, **params) -> JointTable:
@@ -423,45 +470,11 @@ def named_correlation(name: str, **params) -> JointTable:
     for the affine combination x*PR' + y*PR + (1-x-y)*r.  Slice output may
     have negative entries; callers must check positivity before polytope use.
     """
-    h = HALF
-    q = Fraction(1, 4)
-    if name == "PR":
-        return to_full(_chsh_cg((h, h), (h, h), [[h, h], [h, ZERO]]))
-    if name in ("PR'", "PR2"):
-        return to_full(_chsh_cg((h, h), (h, h), [[ZERO, h], [h, h]]))
-    if name == "r":
-        return to_full(_chsh_cg((h, h), (h, h), [[q, q], [q, q]]))
-    if name == "s":
-        return to_full(CGVector(CHSH, (ZERO,) * 8))
     if name == "slice":
-        x = rational(params["x"])
-        y = rational(params["y"])
-        basis = params.get(
-            "basis",
-            (named_correlation("PR'"), named_correlation("PR"), named_correlation("r")),
-        )
-        p1, p2, p3 = basis
-        s = p1.scenario
-        if p2.scenario != s or p3.scenario != s:
-            raise DimensionMismatch("slice basis tables over different scenarios")
-        w3 = 1 - x - y
-        entries = [
-            [
-                [
-                    [
-                        x * p1.p[i][j][a][b]
-                        + y * p2.p[i][j][a][b]
-                        + w3 * p3.p[i][j][a][b]
-                        for b in range(s.kB)
-                    ]
-                    for a in range(s.kA)
-                ]
-                for j in range(s.mB)
-            ]
-            for i in range(s.mA)
-        ]
-        return JointTable(s, entries, allow_negative=True)
-    raise UnknownName(f"unknown correlation name {name!r}")
+        return to_full(slice_point(params["x"], params["y"]), allow_negative=True)
+    if name not in _NAMED_CG:
+        raise UnknownName(f"unknown correlation name {name!r}")
+    return to_full(CGVector(CHSH, _NAMED_CG[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +489,22 @@ def table_to_dict(t: JointTable) -> dict:
             block = {}
             for a in range(s.kA):
                 for b in range(s.kB):
-                    block[f"a={a + 1},b={b + 1}"] = format_rational(t.p[x][y][a][b])
+                    block[f"a={a + 1},b={b + 1}"] = str(t.p[x][y][a][b])
             payload[f"x={x + 1},y={y + 1}"] = block
     return {"scenario": s.to_dict(), "p": payload}
 
 
 def table_from_dict(d: Mapping) -> JointTable:
     s = Scenario.from_dict(d["scenario"])
-    entries = [
-        [[[ZERO] * s.kB for _ in range(s.kA)] for _ in range(s.mB)]
-        for _ in range(s.mA)
-    ]
+    flat = [ZERO] * flat_size(s)
     for xy, block in d["p"].items():
         xs, ys = xy.split(",")
         x, y = int(xs.split("=")[1]) - 1, int(ys.split("=")[1]) - 1
         for ab, value in block.items():
             as_, bs = ab.split(",")
             a, b = int(as_.split("=")[1]) - 1, int(bs.split("=")[1]) - 1
-            entries[x][y][a][b] = rational(value)
-    return JointTable(s, entries)
+            flat[flat_index(s, x, y, a, b)] = rational(value)
+    return unflatten(s, flat)
 
 
 def table_to_json(t: JointTable) -> str:

@@ -7,7 +7,9 @@ polytope conv(V) reduces to this: homogenize each vertex v into the row
 facets ``(-r) . x <= r0``.
 
 Implementation notes:
-* all ray vectors are kept as coprime integer tuples;
+* all ray vectors are kept as coprime integer tuples; the base, the
+  initial cone and the scaling come from the exact core in `linprog`
+  (`row_reduce`, `back_substitute`, `coprime_integers`);
 * active-constraint sets are bitmasks over the already-inserted rows, so
   the combinatorial adjacency test is a couple of machine-word operations
   after a popcount prefilter;
@@ -18,71 +20,10 @@ Implementation notes:
 from __future__ import annotations
 
 import time
-from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
-
-ZERO = Fraction(0)
-
-
-def _normalize_int_vector(vec: Sequence) -> Tuple[int, ...]:
-    """Scale a rational vector by a positive factor to coprime integers."""
-    fracs = [Fraction(v) for v in vec]
-    denom = 1
-    for v in fracs:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
-def _independent_subset(rows: List[Tuple[int, ...]], dim: int) -> List[int]:
-    """Indices of a maximal linearly independent subset, greedy in order."""
-    chosen: List[int] = []
-    reduced: List[List[Fraction]] = []
-    pivots: List[int] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for prow, pcol in zip(reduced, pivots):
-            factor = vec[pcol]
-            if factor:
-                vec = [a - factor * b for a, b in zip(vec, prow)]
-        pivot = next((j for j, v in enumerate(vec) if v), -1)
-        if pivot < 0:
-            continue
-        inv = Fraction(1) / vec[pivot]
-        vec = [v * inv for v in vec]
-        reduced.append(vec)
-        pivots.append(pivot)
-        chosen.append(idx)
-        if len(chosen) == dim:
-            break
-    return chosen
-
-
-def _invert(matrix: List[Tuple[int, ...]]) -> List[List[Fraction]]:
-    """Exact inverse of a square integer matrix via Gauss-Jordan."""
-    d = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(d)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(d):
-        pivot_row = next(i for i in range(col, d) if aug[i][col])
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [[aug[i][d + j] for j in range(d)] for i in range(d)]
+from .linprog import back_substitute, coprime_integers, row_reduce
 
 
 def extreme_rays(
@@ -93,32 +34,32 @@ def extreme_rays(
 
     The rows must positively span (i.e. the cone must be pointed) and
     contain ``dim`` linearly independent members.  Returns coprime integer
-    ray vectors in sorted order.  ``deadline`` is an absolute time.time()
-    cap; exceeding it raises BudgetExceeded.
+    ray vectors in sorted order.  ``deadline`` is an absolute
+    time.monotonic() cap; exceeding it raises BudgetExceeded.
     """
-    norm_rows = sorted(set(_normalize_int_vector(r) for r in rows))
+    norm_rows = sorted(set(coprime_integers(r) for r in rows))
     dim = len(norm_rows[0])
-    base_idx = _independent_subset(norm_rows, dim)
+    base_idx, _ = row_reduce(norm_rows, dim)
     if len(base_idx) < dim:
         raise ValueError("constraint rows do not have full rank")
 
-    # Initial simplicial cone from the base rows: ray i is column i of the
-    # inverse of the base matrix, so base_j . ray_i = delta_ij >= 0.
-    base = [norm_rows[i] for i in base_idx]
-    inv = _invert(base)
-    order = base_idx + [i for i in range(len(norm_rows)) if i not in set(base_idx)]
-
-    rays: List[Tuple[int, ...]] = []
-    masks: List[int] = []
+    # Initial simplicial cone from the base rows: ray i solves
+    # base . ray_i = e_i (column i of the inverse), so base_j . ray_i >= 0.
+    # One reduction of [base | identity] yields every column.
+    _, pivots = row_reduce(
+        [norm_rows[k] + (0,) * i + (1,) + (0,) * (dim - 1 - i)
+         for i, k in enumerate(base_idx)],
+        dim,
+    )
+    rays = [coprime_integers(back_substitute(pivots, dim, dim + i)) for i in range(dim)]
     full_base_mask = (1 << dim) - 1
-    for i in range(dim):
-        vec = _normalize_int_vector([inv[r][i] for r in range(dim)])
-        rays.append(vec)
-        masks.append(full_base_mask ^ (1 << i))
+    masks = [full_base_mask ^ (1 << i) for i in range(dim)]
+    in_base = set(base_idx)
+    order = base_idx + [i for i in range(len(norm_rows)) if i not in in_base]
 
     n_processed = dim
     for step in range(dim, len(order)):
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("double description ran over its time budget")
         h = norm_rows[order[step]]
         values = [sum(hi * ri for hi, ri in zip(h, ray)) for ray in rays]
@@ -155,9 +96,7 @@ def extreme_rays(
                     continue
                 vn = values[ineg]
                 rn = rays[ineg]
-                vec = _normalize_int_vector(
-                    [vp * b - vn * a for a, b in zip(rp, rn)]
-                )
+                vec = coprime_integers([vp * b - vn * a for a, b in zip(rp, rn)])
                 new_rays.append(vec)
                 new_masks.append((common | bit))
 

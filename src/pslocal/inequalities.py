@@ -3,23 +3,23 @@
 An :class:`Inequality` is an affine functional in Collins-Gisin coordinates:
 ``value(P) = offset + coeffs . cg(P)`` compared against ``bound`` via ``<=``
 or ``>=``.  Inequalities are stored scale-free: comparisons and orbit
-computations go through a canonical coprime-integer key with the offset
-folded into the right-hand side and the relation flipped to ``<=``.
+computations go through a canonical coprime-integer key (`coprime_integers`)
+with the offset folded into the right-hand side and the relation flipped
+to ``<=``.
 
 Relabeling symmetries (input permutations, per-observable outcome
 permutations, party exchange) act on inequalities through their full-table
-coefficient representation; the conversion back to Collins-Gisin coordinates
-is canonical on the no-signaling subspace.
+coefficient representation (the flat layout of `core.flat_index`); the
+conversion back to Collins-Gisin coordinates is canonical on the
+no-signaling subspace.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     CGVector,
@@ -30,11 +30,15 @@ from .core import (
     cg_index_joint,
     cg_index_marginal_A,
     cg_index_marginal_B,
+    flat_index,
+    flat_size,
+    flatten,
     rational,
     to_cg,
     to_full,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, IdentityFailed
+from .linprog import coprime_integers
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,7 +90,7 @@ class Inequality:
         if self.relation == ">=":
             coeffs = tuple(-c for c in coeffs)
             rhs = -rhs
-        return _normalize_key(coeffs, rhs)
+        return coprime_integers(coeffs + (rhs,))
 
     def canonical_scaled(self) -> "Inequality":
         """The '<='-oriented coprime-integer representative of this inequality."""
@@ -110,20 +114,6 @@ class Inequality:
             rational(d["bound"]),
             d["relation"],
         )
-
-
-def _normalize_key(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple:
-    values = list(coeffs) + [rhs]
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in values]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 def inequality_from_key(scenario: Scenario, key: tuple) -> Inequality:
@@ -348,14 +338,6 @@ def thresholds(eff: Efficiencies) -> ThresholdReport:
 # Functional representation on the full table space
 # ---------------------------------------------------------------------------
 
-def _flat_index(s: Scenario, x: int, y: int, a: int, b: int) -> int:
-    return ((x * s.mB + y) * s.kA + a) * s.kB + b
-
-
-def _flat_size(s: Scenario) -> int:
-    return s.mA * s.mB * s.kA * s.kB
-
-
 @lru_cache(maxsize=None)
 def _cg_basis_tables(s: Scenario) -> tuple:
     """Flattened integer tables of to_full(0) and to_full(e_i) - to_full(0).
@@ -364,25 +346,17 @@ def _cg_basis_tables(s: Scenario) -> tuple:
     the reconstruction map is affine with integer coefficients.
     """
     dim = s.cg_dim
-    zero = to_full(CGVector(s, (ZERO,) * dim), allow_negative=True)
 
-    def flatten(t: JointTable) -> tuple:
-        out = []
-        for x in range(s.mA):
-            for y in range(s.mB):
-                for a in range(s.kA):
-                    for b in range(s.kB):
-                        v = t.p[x][y][a][b]
-                        assert v.denominator == 1
-                        out.append(int(v))
-        return tuple(out)
+    def integer_table(coords: tuple) -> tuple:
+        flat = flatten(to_full(CGVector(s, coords), allow_negative=True))
+        if any(v.denominator != 1 for v in flat):
+            raise IdentityFailed("CG reconstruction has non-integer coefficients")
+        return tuple(int(v) for v in flat)
 
-    t0 = flatten(zero)
+    t0 = integer_table((ZERO,) * dim)
     basis = []
     for i in range(dim):
-        coords = [ZERO] * dim
-        coords[i] = ONE
-        ti = flatten(to_full(CGVector(s, tuple(coords)), allow_negative=True))
+        ti = integer_table((ZERO,) * i + (ONE,) + (ZERO,) * (dim - 1 - i))
         basis.append(tuple(u - v for u, v in zip(ti, t0)))
     return t0, tuple(basis)
 
@@ -395,26 +369,26 @@ def functional_to_full(ineq: Inequality) -> tuple:
     back with :func:`functional_from_full`.
     """
     s = ineq.scenario
-    w = [ZERO] * _flat_size(s)
+    w = [ZERO] * flat_size(s)
     for x in range(s.mA):
         for a in range(s.kA - 1):
             c = ineq.coeffs[cg_index_marginal_A(s, x, a)]
             if c:
                 for b in range(s.kB):
-                    w[_flat_index(s, x, 0, a, b)] += c
+                    w[flat_index(s, x, 0, a, b)] += c
     for y in range(s.mB):
         for b in range(s.kB - 1):
             c = ineq.coeffs[cg_index_marginal_B(s, y, b)]
             if c:
                 for a in range(s.kA):
-                    w[_flat_index(s, 0, y, a, b)] += c
+                    w[flat_index(s, 0, y, a, b)] += c
     for x in range(s.mA):
         for a in range(s.kA - 1):
             for y in range(s.mB):
                 for b in range(s.kB - 1):
                     c = ineq.coeffs[cg_index_joint(s, x, a, y, b)]
                     if c:
-                        w[_flat_index(s, x, y, a, b)] += c
+                        w[flat_index(s, x, y, a, b)] += c
     return tuple(w), ineq.offset
 
 
@@ -444,7 +418,7 @@ def _transposition_perms(
     when requested), and the party exchange when the scenario is symmetric.
     All generators are involutions.
     """
-    n = _flat_size(s)
+    n = flat_size(s)
     perms = []
 
     def build(mapper) -> tuple:
@@ -454,7 +428,7 @@ def _transposition_perms(
                 for a in range(s.kA):
                     for b in range(s.kB):
                         x2, y2, a2, b2 = mapper(x, y, a, b)
-                        perm[_flat_index(s, x, y, a, b)] = _flat_index(
+                        perm[flat_index(s, x, y, a, b)] = flat_index(
                             s, x2, y2, a2, b2
                         )
         return tuple(perm)
@@ -507,12 +481,7 @@ def _orbit_keys(
         off = sum(wi * ti for wi, ti in zip(w, t0) if ti)
         coeffs = [sum(wi * ti for wi, ti in zip(w, bi) if ti) for bi in basis]
         coeffs.append(rhs0 - off)
-        g = 0
-        for v in coeffs:
-            g = gcd(g, abs(v))
-        if g > 1:
-            coeffs = [v // g for v in coeffs]
-        return tuple(coeffs)
+        return coprime_integers(coeffs)
 
     seen = {cg_key(w0): w0}
     frontier = [w0]

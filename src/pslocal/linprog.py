@@ -1,9 +1,17 @@
-"""Exact rational linear programming with certificates.
+"""The exact core: rational row reduction, coprime scaling and linear
+programming with certificates.
 
-A dense two-phase tableau simplex over `fractions.Fraction`.  Bland's rule
-guarantees termination; all certificates (primal solutions, dual vectors,
-Farkas infeasibility vectors) are exact.  Problems here are small (at most
-a few hundred columns), so a dense tableau is the simplest reliable choice.
+`row_reduce` is the package's one Gaussian elimination: affine ranks, the
+base and initial cone of the double description method and the exact
+re-solves of the float guides all go through it.  `coprime_integers` is
+its one normalizer of rational vectors to coprime integers (DD rays and
+canonical inequality keys).
+
+Linear programs are solved by a dense two-phase tableau simplex over
+`fractions.Fraction`.  Bland's rule guarantees termination; all
+certificates (primal solutions, dual vectors, Farkas infeasibility
+vectors) are exact.  Problems here are small (at most a few hundred
+columns), so a dense tableau is the simplest reliable choice.
 
 Feasibility problems (Ax = b, x >= 0) can also be guided by floating point
 ("float guides, rationals certify"; Applegate, Cook, Dash & Espinoza,
@@ -19,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog as highs
 
-from .errors import Infeasible, Unbounded
+from .errors import CertificateInvalid, Infeasible, Unbounded
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -132,7 +141,8 @@ def solve_equality_form(
         cost[-1] -= tableau[i][-1]
     tableau.append(cost)
     status = _run_simplex(tableau, basis, n)
-    assert status == OPTIMAL  # bounded below by zero
+    if status != OPTIMAL:  # bounded below by zero, so never unbounded
+        raise CertificateInvalid(f"phase 1 reported {status}")
     if tableau[-1][-1] < 0:
         # Phase-1 optimum positive: infeasible.  Dual of phase 1 from the
         # artificial columns' reduced costs (artificial cost was 1 there).
@@ -202,19 +212,38 @@ def maximize_over_hrep(
     return -result.objective
 
 
-def solve_exact_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int
-) -> List[Fraction]:
-    """An exact solution of rows.x = rhs in n unknowns.
+def coprime_integers(values: Sequence) -> Tuple[int, ...]:
+    """Scale a rational vector (ints or Fractions) by a positive factor to
+    coprime integers.  The zero vector stays zero."""
+    denom = 1
+    for v in values:
+        if v.denominator != 1:
+            denom = lcm(denom, v.denominator)
+    if denom == 1:
+        ints = [v.numerator for v in values]
+    else:
+        ints = [v.numerator * (denom // v.denominator) for v in values]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
 
-    Rows are taken in order and kept only when independent of the rows
-    kept before, up to n of them; unknowns without a pivot are set to
-    zero.  The result satisfies the kept rows, not necessarily the others:
-    the caller verifies it.
+
+def row_reduce(rows: Sequence[Sequence], n: int) -> Tuple[List[int], List[tuple]]:
+    """Forward elimination over the rationals.
+
+    Each row has n coefficient columns, optionally followed by right-hand
+    side columns that are carried along but never pivoted on.  Rows are
+    taken in order and kept when independent of the rows kept before, up
+    to n of them.  Returns the indices of the kept rows and, for each, its
+    pivot as (pivot column, non-zero columns, row scaled to 1 at the
+    pivot column).  Each pivot row is zero in the pivot columns of the
+    rows kept before it, and elimination only touches non-zero columns.
     """
-    pivots: List[tuple] = []  # (pivot column, nonzero columns, row / pivot)
-    for row, r in zip(rows, rhs):
-        vec = [Fraction(v) for v in row] + [Fraction(r)]
+    kept: List[int] = []
+    pivots: List[tuple] = []
+    for idx, row in enumerate(rows):
+        vec = [Fraction(v) for v in row]
         for col, nz, prow in pivots:
             factor = vec[col]
             if factor:
@@ -225,15 +254,35 @@ def solve_exact_system(
             continue
         inv = ONE / vec[col]
         prow = [v * inv for v in vec]
+        kept.append(idx)
         pivots.append((col, [j for j, v in enumerate(prow) if v], prow))
         if len(pivots) == n:
             break
-    # Each pivot row is zero in the pivot columns of the rows before it,
-    # so back substitution runs from the last pivot to the first.
+    return kept, pivots
+
+
+def back_substitute(pivots: Sequence[tuple], n: int, rhs: int) -> List[Fraction]:
+    """Solution of the kept rows of `row_reduce` for right-hand side
+    column ``rhs``; unknowns without a pivot are set to zero.  Runs from
+    the last pivot to the first (see the pivot order of `row_reduce`)."""
     x = [ZERO] * n
     for col, nz, prow in reversed(pivots):
-        x[col] = prow[n] - sum(prow[j] * x[j] for j in nz if j != col and j < n)
+        x[col] = prow[rhs] - sum(prow[j] * x[j] for j in nz if j != col and j < n)
     return x
+
+
+def solve_exact_system(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int
+) -> List[Fraction]:
+    """An exact solution of rows.x = rhs in n unknowns.
+
+    Rows are taken in order and kept only when independent of the rows
+    kept before, up to n of them; unknowns without a pivot are set to
+    zero.  The result satisfies the kept rows, not necessarily the others:
+    the caller verifies it.
+    """
+    _, pivots = row_reduce([list(row) + [r] for row, r in zip(rows, rhs)], n)
+    return back_substitute(pivots, n, n)
 
 
 def _float_support(A: np.ndarray, b: np.ndarray) -> Optional[List[int]]:

@@ -8,7 +8,9 @@ combination or a separating inequality (Farkas dual).  Floating point
 separator, and an exact re-solve turns that choice into rationals; when
 the result does not verify, the exact phase-1 simplex decides instead.
 Every returned certificate is checked in rationals.  Facet enumeration
-goes through the double description method.
+goes through the double description method; a facet list memoized on
+disk is validated before it is trusted.  Ranks and LPs come from the
+exact core in `linprog`.
 """
 
 from __future__ import annotations
@@ -17,13 +19,24 @@ import hashlib
 import itertools
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .core import CGVector, JointTable, Scenario, Efficiencies, lift, to_cg
+from .core import (
+    CGVector,
+    Efficiencies,
+    JointTable,
+    Scenario,
+    flat_index,
+    flat_size,
+    lift,
+    to_cg,
+    unflatten,
+)
 from .dd import facets_of_polytope
 from .errors import CertificateInvalid, DimensionMismatch, SizeLimit
 from .inequalities import Inequality, _cg_basis_tables, inequality_from_key
@@ -33,6 +46,7 @@ from .linprog import (
     guided_farkas,
     guided_point,
     maximize_over_hrep,
+    row_reduce,
     solve_equality_form,
 )
 
@@ -48,24 +62,21 @@ class Vertex:
     strategy_A: tuple
     strategy_B: tuple
 
-    def table(self) -> JointTable:
+    def cells(self) -> tuple:
+        """Flat indices (see `core.flat_index`) of the table's unit
+        entries, one per input pair; every other entry is zero."""
         s = self.scenario
-        entries = [
-            [
-                [
-                    [
-                        ONE
-                        if (a == self.strategy_A[x] and b == self.strategy_B[y])
-                        else ZERO
-                        for b in range(s.kB)
-                    ]
-                    for a in range(s.kA)
-                ]
-                for y in range(s.mB)
-            ]
-            for x in range(s.mA)
-        ]
-        return JointTable(s, entries)
+        return tuple(
+            flat_index(s, x, y, a, b)
+            for x, a in enumerate(self.strategy_A)
+            for y, b in enumerate(self.strategy_B)
+        )
+
+    def table(self) -> JointTable:
+        flat = [0] * flat_size(self.scenario)
+        for i in self.cells():
+            flat[i] = 1
+        return unflatten(self.scenario, flat)
 
     def cg(self) -> CGVector:
         return to_cg(self.table())
@@ -89,21 +100,9 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     if not points:
         return -1
     origin = points[0]
-    reduced: List[list] = []
-    pivots: List[int] = []
-    for p in points[1:]:
-        vec = [Fraction(a) - Fraction(o) for a, o in zip(p, origin)]
-        for prow, pcol in zip(reduced, pivots):
-            factor = vec[pcol]
-            if factor:
-                vec = [a - factor * b for a, b in zip(vec, prow)]
-        pivot = next((j for j, v in enumerate(vec) if v), -1)
-        if pivot < 0:
-            continue
-        inv = ONE / vec[pivot]
-        reduced.append([v * inv for v in vec])
-        pivots.append(pivot)
-    return len(reduced)
+    diffs = [[a - o for a, o in zip(p, origin)] for p in points[1:]]
+    kept, _ = row_reduce(diffs, len(origin))
+    return len(kept)
 
 
 @dataclass
@@ -234,16 +233,53 @@ def is_ps_local(pps: JointTable, eff: Efficiencies) -> MembershipCertificate:
     return membership(to_cg(p0), local_polytope(p0.scenario))
 
 
+# Bumped whenever the cache file layout changes; part of the hashed key.
+_CACHE_FORMAT = 1
+
+
 def _facet_cache_path(poly: PolytopeRep) -> Optional[str]:
     cache_dir = os.environ.get("PSLOCAL_CACHE_DIR")
     if not cache_dir:
         return None
-    digest = hashlib.sha256(
-        json.dumps(
-            [[str(c) for c in v.coords] for v in poly.vertices], sort_keys=True
-        ).encode()
-    ).hexdigest()[:24]
-    return os.path.join(cache_dir, f"facets-{digest}.json")
+    payload = {
+        "format": _CACHE_FORMAT,
+        "vertices": [[str(c) for c in v.coords] for v in poly.vertices],
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return os.path.join(cache_dir, f"facets-{digest[:24]}.json")
+
+
+def _read_facet_cache(path: str, s: Scenario) -> Optional[List[Inequality]]:
+    """Facets stored at path, or None when the file is missing, does not
+    parse, or holds a key that is not s.cg_dim + 1 integers."""
+    try:
+        with open(path) as fh:
+            keys = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(keys, list) or not all(
+        isinstance(k, list)
+        and len(k) == s.cg_dim + 1
+        and all(type(c) is int for c in k)
+        for k in keys
+    ):
+        return None
+    return [inequality_from_key(s, tuple(k)) for k in keys]
+
+
+def _write_facet_cache(path: str, facets: Sequence[Inequality]) -> None:
+    """Write through a temporary file in the cache directory, then rename,
+    so a reader never sees a partial file."""
+    cache_dir = os.path.dirname(path) or "."
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump([list(f.key()) for f in facets], fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def enumerate_facets(
@@ -253,31 +289,26 @@ def enumerate_facets(
 
     Output is canonically scaled (coprime integers, relation '<=') and
     deterministically ordered, independent of vertex input order.  Results
-    are memoized in PSLOCAL_CACHE_DIR when that variable is set.
+    are memoized in PSLOCAL_CACHE_DIR when that variable is set; a cache
+    file that does not parse or has keys of the wrong length is recomputed
+    and overwritten.
     """
     if poly.vertices is None:
         raise ValueError("facet enumeration requires a V-representation")
     if poly.dim != poly.scenario.cg_dim:
         raise ValueError("facet enumeration requires a full-dimensional polytope")
     cache_path = _facet_cache_path(poly)
-    if cache_path and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            keys = json.load(fh)
-        facets = [
-            inequality_from_key(poly.scenario, tuple(k)) for k in keys
-        ]
-        poly.facets = facets
-        return facets
-    deadline = time.time() + budget_seconds if budget_seconds else None
+    if cache_path:
+        cached = _read_facet_cache(cache_path, poly.scenario)
+        if cached is not None:
+            return cached
+    deadline = time.monotonic() + budget_seconds if budget_seconds else None
     raw = facets_of_polytope([v.coords for v in poly.vertices], deadline=deadline)
     facets = [
         inequality_from_key(poly.scenario, coeffs + (rhs,)) for coeffs, rhs in raw
     ]
     if cache_path:
-        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-        with open(cache_path, "w") as fh:
-            json.dump([list(f.key()) for f in facets], fh)
-    poly.facets = facets
+        _write_facet_cache(cache_path, facets)
     return facets
 
 
@@ -300,8 +331,7 @@ def verify_facet(ineq: Inequality, poly: PolytopeRep) -> dict:
             valid = False
         elif slack == 0:
             tight.append(v.coords)
-    rank = affine_rank(tight) if tight else -1
-    tight_count = rank + 1  # affinely independent points spanning the tight set
+    tight_count = affine_rank(tight) + 1  # affinely independent tight points
     is_facet = valid and tight_count == poly.dim
     return {"valid": valid, "tight_rank": tight_count, "is_facet": is_facet}
 
@@ -341,6 +371,5 @@ def lp_max(ineq: Inequality, hrep: PolytopeRep) -> Fraction:
 def is_trivial_for_ns(ineq: Inequality) -> bool:
     """True when the inequality cannot be violated by any non-signaling
     correlation (its LHS maximum over the NS polytope respects the bound)."""
-    if ineq.relation != "<=":
-        ineq = ineq.canonical_scaled()
-    return lp_max(ineq, ns_hrep(ineq.scenario)) <= ineq.bound
+    canon = ineq.canonical_scaled()
+    return lp_max(canon, ns_hrep(canon.scenario)) <= canon.bound

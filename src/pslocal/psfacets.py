@@ -25,12 +25,15 @@ from .core import (
     Efficiencies,
     JointTable,
     Scenario,
-    postselect,
+    flat_index,
+    flat_size,
     to_cg,
     to_full,
+    unflatten,
 )
 from .errors import (
     BudgetExceeded,
+    CertificateInvalid,
     IdentityFailed,
     InvalidSetup,
     PreconditionFailed,
@@ -40,9 +43,6 @@ from .inequalities import (
     THREE_INPUT_L0,
     THREE_INPUT_PS,
     Inequality,
-    _cg_basis_tables,
-    _flat_index,
-    _flat_size,
     ch_eta,
     ch_eta_3in,
     ch_eta_lower,
@@ -56,15 +56,14 @@ from .inequalities import (
     orbit_key_set,
     thresholds,
 )
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_equality_form
+from .linprog import INFEASIBLE, OPTIMAL, solve_equality_form
 from .polytope import (
-    PolytopeRep,
     affine_rank,
     enumerate_facets,
     enumerate_vertices,
     is_ps_local,
+    is_trivial_for_ns,
     local_polytope,
-    lp_max,
     ns_hrep,
     verify_facet,
 )
@@ -121,15 +120,15 @@ def lift_functional(facet: Inequality, eff: Efficiencies) -> Inequality:
         for y in range(sps.mB):
             for aa in range(sps.kA):
                 for bb in range(sps.kB):
-                    v = a * b * w0[_flat_index(s0, x, y, aa, bb)]
+                    v = a * b * w0[flat_index(s0, x, y, aa, bb)]
                     if s0.no_detection_B:
-                        v += a * (1 - b) * w0[_flat_index(s0, x, y, aa, s0.kB - 1)]
+                        v += a * (1 - b) * w0[flat_index(s0, x, y, aa, s0.kB - 1)]
                     if s0.no_detection_A:
-                        v += (1 - a) * b * w0[_flat_index(s0, x, y, s0.kA - 1, bb)]
+                        v += (1 - a) * b * w0[flat_index(s0, x, y, s0.kA - 1, bb)]
                     w.append(v)
             if s0.no_detection_A and s0.no_detection_B:
                 const += (1 - a) * (1 - b) * w0[
-                    _flat_index(s0, x, y, s0.kA - 1, s0.kB - 1)
+                    flat_index(s0, x, y, s0.kA - 1, s0.kB - 1)
                 ]
     return functional_from_full(sps, w, const, facet.bound, facet.relation)
 
@@ -162,8 +161,7 @@ def _family_key_sets(sps: Scenario, eff: Efficiencies) -> Dict[Classification, f
 
 def classify(ineq: Inequality, eff: Efficiencies) -> Classification:
     """Sort one post-selected inequality into its family."""
-    canon = ineq.canonical_scaled()
-    if lp_max(canon, ns_hrep(ineq.scenario)) <= canon.bound:
+    if is_trivial_for_ns(ineq):
         return Classification.TRIVIAL
     key = ineq.key()
     for label, keys in _family_key_sets(ineq.scenario, eff).items():
@@ -223,15 +221,15 @@ def _term_functional(sps: Scenario, joints=(), marginals_A=(), marginals_B=(),
     printed; marginal terms are (outcome, input, coeff) and get expanded
     at the first input of the other party.
     """
-    w = [ZERO] * _flat_size(sps)
+    w = [ZERO] * flat_size(sps)
     for a, b, x, y, c in joints:
-        w[_flat_index(sps, x - 1, y - 1, a - 1, b - 1)] += c
+        w[flat_index(sps, x - 1, y - 1, a - 1, b - 1)] += c
     for a, x, c in marginals_A:
         for bb in range(sps.kB):
-            w[_flat_index(sps, x - 1, 0, a - 1, bb)] += c
+            w[flat_index(sps, x - 1, 0, a - 1, bb)] += c
     for b, y, c in marginals_B:
         for aa in range(sps.kA):
-            w[_flat_index(sps, 0, y - 1, aa, b - 1)] += c
+            w[flat_index(sps, 0, y - 1, aa, b - 1)] += c
     return w, const
 
 
@@ -545,7 +543,7 @@ def _ps_constraint_rows(s0: Scenario, eff: Efficiencies) -> List[tuple]:
     """Equality rows (full-table weight vector, rhs) cutting the exact
     efficiency subspace out of the a-priori polytope."""
     a, b = eff.etaA, eff.etaB
-    n = _flat_size(s0)
+    n = flat_size(s0)
     rows = []
     kA = s0.kA - 1 if s0.no_detection_A else s0.kA
     kB = s0.kB - 1 if s0.no_detection_B else s0.kB
@@ -554,33 +552,22 @@ def _ps_constraint_rows(s0: Scenario, eff: Efficiencies) -> List[tuple]:
             if s0.no_detection_B:
                 for aa in range(kA):
                     w = [ZERO] * n
-                    w[_flat_index(s0, x, y, aa, s0.kB - 1)] = b
+                    w[flat_index(s0, x, y, aa, s0.kB - 1)] = b
                     for bb in range(kB):
-                        w[_flat_index(s0, x, y, aa, bb)] -= 1 - b
+                        w[flat_index(s0, x, y, aa, bb)] -= 1 - b
                     rows.append((tuple(w), ZERO))
             if s0.no_detection_A:
                 for bb in range(kB):
                     w = [ZERO] * n
-                    w[_flat_index(s0, x, y, s0.kA - 1, bb)] = a
+                    w[flat_index(s0, x, y, s0.kA - 1, bb)] = a
                     for aa in range(kA):
-                        w[_flat_index(s0, x, y, aa, bb)] -= 1 - a
+                        w[flat_index(s0, x, y, aa, bb)] -= 1 - a
                     rows.append((tuple(w), ZERO))
             if s0.no_detection_A and s0.no_detection_B:
                 w = [ZERO] * n
-                w[_flat_index(s0, x, y, s0.kA - 1, s0.kB - 1)] = ONE
+                w[flat_index(s0, x, y, s0.kA - 1, s0.kB - 1)] = ONE
                 rows.append((tuple(w), (1 - a) * (1 - b)))
     return rows
-
-
-def _flat_table(t: JointTable) -> tuple:
-    s = t.scenario
-    return tuple(
-        t.p[x][y][a][b]
-        for x in range(s.mA)
-        for y in range(s.mB)
-        for a in range(s.kA)
-        for b in range(s.kB)
-    )
 
 
 class _PsProgram:
@@ -598,16 +585,15 @@ class _PsProgram:
         self.sps = sps
         self.s0 = s0
         self.eff = eff
-        self.vertices = [_flat_table(v.table()) for v in enumerate_vertices(s0)]
-        rows = [(
-            (ONE,) * len(self.vertices), ONE
-        )]
-        for w, rhs in _ps_constraint_rows(s0, eff):
-            rows.append((
-                tuple(sum(wi * vi for wi, vi in zip(w, v) if wi) for v in self.vertices),
-                rhs,
-            ))
-        self.base_rows = rows
+        # Each vertex is a 0/1 table: its flat unit cells are all an LP needs.
+        self.vertices = [v.cells() for v in enumerate_vertices(s0)]
+        self.base_rows = [((ONE,) * len(self.vertices), ONE)] + [
+            (self._vertex_values(w), rhs) for w, rhs in _ps_constraint_rows(s0, eff)
+        ]
+
+    def _vertex_values(self, w: Sequence) -> tuple:
+        """The full-table functional w evaluated at every vertex."""
+        return tuple(sum(w[i] for i in cells) for cells in self.vertices)
 
     def objective_row(self, ineq: Inequality) -> Tuple[tuple, Fraction]:
         """Per-vertex values of the functional's variable part, plus the
@@ -615,18 +601,15 @@ class _PsProgram:
         w, const = functional_to_full(ineq)
         scale = ONE / (self.eff.etaA * self.eff.etaB)
         s0, sps = self.s0, self.sps
-        w0 = [ZERO] * _flat_size(s0)
+        w0 = [ZERO] * flat_size(s0)
         for x in range(sps.mA):
             for y in range(sps.mB):
                 for aa in range(sps.kA):
                     for bb in range(sps.kB):
-                        w0[_flat_index(s0, x, y, aa, bb)] = scale * w[
-                            _flat_index(sps, x, y, aa, bb)
+                        w0[flat_index(s0, x, y, aa, bb)] = scale * w[
+                            flat_index(sps, x, y, aa, bb)
                         ]
-        row = tuple(
-            sum(wi * vi for wi, vi in zip(w0, v) if wi) for v in self.vertices
-        )
-        return row, const
+        return self._vertex_values(w0), const
 
     def maximize(self, ineq: Inequality, face_of: Optional[Inequality] = None):
         """Exact max of the functional over L_ps, optionally restricted to
@@ -641,48 +624,33 @@ class _PsProgram:
         res = solve_equality_form(A, bvec, [-c for c in obj])
         if res.status == INFEASIBLE:
             return None, None
-        assert res.status == OPTIMAL
+        if res.status != OPTIMAL:  # a bounded polytope: never unbounded
+            raise CertificateInvalid(f"L_ps LP reported {res.status}")
         point = self.point_from_weights(res.x)
         return -res.objective + const, point
 
     def point_from_weights(self, weights) -> JointTable:
-        s0 = self.s0
-        flat = [ZERO] * _flat_size(s0)
-        for lam, v in zip(weights, self.vertices):
+        s0, sps = self.s0, self.sps
+        flat = [ZERO] * flat_size(s0)
+        for lam, cells in zip(weights, self.vertices):
             if lam:
-                for i, vi in enumerate(v):
-                    if vi:
-                        flat[i] += lam * vi
-        entries = [
-            [
-                [
-                    [flat[_flat_index(s0, x, y, a, b)] for b in range(s0.kB)]
-                    for a in range(s0.kA)
-                ]
-                for y in range(s0.mB)
-            ]
-            for x in range(s0.mA)
-        ]
-        p0 = JointTable(s0, entries)
-        if self.s0 == self.sps:
+                for i in cells:
+                    flat[i] += lam
+        p0 = unflatten(s0, flat)
+        if s0 == sps:
             return p0
         # Conclusive block, renormalized.  The efficiency rows of the LP
         # guarantee the constraints hold exactly, so direct division is
         # equivalent to post-selection for any mix of one- or two-sided
         # no-detection outcomes.
-        sps = self.sps
         scale = self.eff.etaA * self.eff.etaB
-        conc = [
-            [
-                [
-                    [p0.p[x][y][a][b] / scale for b in range(sps.kB)]
-                    for a in range(sps.kA)
-                ]
-                for y in range(sps.mB)
-            ]
+        return unflatten(sps, [
+            flat[flat_index(s0, x, y, a, b)] / scale
             for x in range(sps.mA)
-        ]
-        return JointTable(sps, conc)
+            for y in range(sps.mB)
+            for a in range(sps.kA)
+            for b in range(sps.kB)
+        ])
 
 
 def _orthogonalize(vec, basis):

@@ -9,9 +9,9 @@ to the +1 eigenspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -19,11 +19,13 @@ from scipy.optimize import minimize
 from .core import (
     CGVector,
     CHSH,
+    SLICE_FRAME,
     Efficiencies,
     JointTable,
     Scenario,
-    named_correlation,
-    to_cg,
+    flat_size,
+    flatten,
+    slice_point,
     to_full,
 )
 from .errors import InvalidSetup, OffSlice, PreconditionFailed, TooCoarse
@@ -142,19 +144,12 @@ def correlation(setup: QubitSetup) -> FloatTable:
 # The symmetric 2-D slice
 # ---------------------------------------------------------------------------
 
-def _slice_frame() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r = np.array([float(c) for c in to_cg(named_correlation("r")).coords])
-    pr2 = np.array([float(c) for c in to_cg(named_correlation("PR'")).coords])
-    pr = np.array([float(c) for c in to_cg(named_correlation("PR")).coords])
-    return r, pr2 - r, pr - r
-
-
 def slice_coords(p: FloatTable, tol: float = 1e-9) -> Tuple[float, float]:
     """Coordinates (x, y) of a CHSH-scenario table in the plane spanned by
     the two PR boxes and the fully random correlation."""
     if p.scenario != CHSH:
         raise InvalidSetup("the slice lives in the 2-input binary scenario")
-    origin, d1, d2 = _slice_frame()
+    origin, d1, d2 = (np.array(v, dtype=float) for v in SLICE_FRAME)
     q = p.cg_coords() - origin
     basis = np.stack([d1, d2], axis=1)
     sol, *_ = np.linalg.lstsq(basis, q, rcond=None)
@@ -164,15 +159,6 @@ def slice_coords(p: FloatTable, tol: float = 1e-9) -> Tuple[float, float]:
     return float(sol[0]), float(sol[1])
 
 
-def _ch_eta_values_on_slice(eff: Efficiencies) -> Tuple[float, float, float]:
-    ineq = ch_eta(eff)
-    vals = []
-    for name in ("r", "PR'", "PR"):
-        v = to_cg(named_correlation(name))
-        vals.append(float(ineq.evaluate(v)))
-    return tuple(vals)
-
-
 def circle_max(eff: Efficiencies) -> float:
     """Exact-form maximum of the efficiency-weighted CH expression over
     the quantum circle x^2 + y^2 = 1/2 of the slice.
@@ -180,7 +166,10 @@ def circle_max(eff: Efficiencies) -> float:
     The expression is affine over the slice, so the maximum over the
     circle is its value at the center plus the gradient norm over sqrt(2).
     """
-    at_r, at_pr2, at_pr = _ch_eta_values_on_slice(eff)
+    ineq = ch_eta(eff)
+    at_r, at_pr2, at_pr = (
+        float(ineq.evaluate(slice_point(x, y))) for x, y in ((0, 0), (1, 0), (0, 1))
+    )
     gx = at_pr2 - at_r
     gy = at_pr - at_r
     return at_r + math.hypot(gx, gy) / math.sqrt(2)
@@ -281,6 +270,8 @@ def eberhard_scan(
     measurement angles.  A positive best value certifies a violation;
     failing to find one proves nothing.  Deterministic for fixed seed.
     """
+    if restarts < 1:
+        raise PreconditionFailed("the scan needs at least one restart")
     t = thresholds(eff)
     if not t.upper_nontrivial:
         raise PreconditionFailed(
@@ -354,14 +345,8 @@ def rationalize(p: FloatTable, max_den: int) -> JointTable:
         table = to_full(CGVector(s, tuple(coords)))
     except Exception as exc:
         raise TooCoarse(f"rounded table left the probability simplex: {exc}")
-    size = s.mA * s.mB * s.kA * s.kB
-    distance = sum(
-        abs(float(table.p[x][y][a][b]) - float(p.p[x][y][a][b]))
-        for x in range(s.mA)
-        for y in range(s.mB)
-        for a in range(s.kA)
-        for b in range(s.kB)
-    )
+    size = flat_size(s)
+    distance = sum(abs(float(u) - float(v)) for u, v in zip(flatten(table), p.p.ravel()))
     if distance > 1e-6 * size:
         raise TooCoarse(
             f"total rounding distance {distance:.3e} exceeds {1e-6 * size:.1e}"

@@ -1,5 +1,6 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -24,6 +25,11 @@ class TestBudgetParser:
         assert _parse_budget("2m") == 120
         assert _parse_budget("1h30m") == 5400
         assert _parse_budget(None) is None
+
+    @pytest.mark.parametrize("text", ["5q", "-5", "1e3", "10x"])
+    def test_malformed_budget_is_a_usage_error(self, text):
+        with pytest.raises(click.UsageError):
+            _parse_budget(text)
 
 
 class TestVerbs:
@@ -147,3 +153,20 @@ class TestErrorHandling:
     def test_bad_figure_number(self, runner):
         result = runner.invoke(main, ["figure", "--figure", "9", "--grid", "3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["quantum", "--etaA", "0.9", "--etaB", "0.9", "--restarts", "0"],
+            ["slice", "--etaA", "0.8", "--etaB", "0.8", "--grid", "0",
+             "--format", "csv"],
+            ["regions", "--grid", "0", "--format", "csv"],
+        ],
+    )
+    def test_zero_size_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_threads_option_is_gone(self, runner):
+        assert runner.invoke(main, ["--threads", "1", "vertices"]).exit_code == 2

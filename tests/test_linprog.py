@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from pslocal.errors import Infeasible, Unbounded
+import pslocal.linprog
+from pslocal.errors import CertificateInvalid, Infeasible, Unbounded
 from pslocal.linprog import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    coprime_integers,
     guided_farkas,
     guided_point,
     maximize_over_hrep,
@@ -69,6 +71,14 @@ def test_dual_certifies_optimum():
         assert sum(res.dual[i] * A[i][j] for i in range(2)) <= c[j]
 
 
+def test_phase_one_status_is_checked(monkeypatch):
+    # Phase 1 is bounded below by zero; a non-optimal status must raise,
+    # also under python -O.
+    monkeypatch.setattr(pslocal.linprog, "_run_simplex", lambda *args: UNBOUNDED)
+    with pytest.raises(CertificateInvalid):
+        solve_equality_form([[1, 1]], [1], [0, 0])
+
+
 def test_maximize_over_square():
     rows = [[1, 0], [-1, 0], [0, 1], [0, -1]]
     rhs = [1, 1, 1, 1]
@@ -90,6 +100,13 @@ def test_exact_system_skips_dependent_rows():
         F(-1, 6), F(1, 2), F(0)
     ]
     assert solve_exact_system([[1, 2], [3, 4]], [F(5), F(6)], 2) == [F(-4), F(9, 2)]
+
+
+def test_coprime_integers():
+    assert coprime_integers([F(1, 2), F(-3, 4), 0]) == (2, -3, 0)
+    assert coprime_integers((6, -9, 12)) == (2, -3, 4)
+    assert coprime_integers([0, 0]) == (0, 0)
+    assert all(type(v) is int for v in coprime_integers([F(4), 2]))
 
 
 def test_guided_point_is_exact():

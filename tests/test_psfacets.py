@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import pslocal.psfacets
 from pslocal.core import CHSH, Efficiencies, is_nonsignaling, lift, to_cg
-from pslocal.errors import InvalidSetup
+from pslocal.errors import CertificateInvalid, InvalidSetup
 from pslocal.inequalities import (
     ch,
     ch_eta,
@@ -15,6 +16,7 @@ from pslocal.inequalities import (
     symmetry_orbit,
     thresholds,
 )
+from pslocal.linprog import UNBOUNDED, LPResult
 from pslocal.psfacets import (
     Classification,
     classify,
@@ -167,6 +169,15 @@ class TestPsFacetCheck:
         assert set(checks) == {"trivial", "ch", "new-1", "new-2", "new-3"}
         assert all(c["valid"] and c["is_facet"] for c in checks.values())
         assert report["facet_checks"]["i3223_1_eta"]["is_facet"]
+
+    def test_unexpected_lp_status_raises(self, monkeypatch):
+        # An LP over the bounded L_ps cannot be unbounded; the status check
+        # must hold under python -O too.
+        monkeypatch.setattr(
+            pslocal.psfacets, "solve_equality_form", lambda A, b, c: LPResult(UNBOUNDED)
+        )
+        with pytest.raises(CertificateInvalid):
+            ps_facet_check(LIGHT, ch_eta(LIGHT))
 
     def test_invalid_inequality_flagged(self):
         base = ch_eta(LIGHT)

@@ -104,6 +104,10 @@ class TestEberhardScan:
         with pytest.raises(PreconditionFailed):
             eberhard_scan(Efficiencies.of(F(3, 5), F(3, 5)))
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(PreconditionFailed):
+            eberhard_scan(Efficiencies.of(F(7, 10), F(7, 10)), restarts=0)
+
     def test_violation_found_at_seventy_percent(self):
         scan = eberhard_scan(Efficiencies.of(F(7, 10), F(7, 10)), restarts=16)
         assert scan["violation_found"]
