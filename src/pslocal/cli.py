@@ -267,15 +267,10 @@ def regions(grid, out, fmt):
 @click.option("--etaA", "etaA", required=True)
 @click.option("--etaB", "etaB", required=True)
 @click.option("--grid", type=_POSITIVE, default=41, show_default=True)
-@click.option("--basis", default="pr2,pr,r", show_default=True,
-              help="slice spanned by these three named correlations")
 @_with(common_out)
 @_domain_errors
-def slice_cmd(etaA, etaB, grid, basis, out, fmt):
+def slice_cmd(etaA, etaB, grid, out, fmt):
     """Membership maps over the 2-D slice through both PR boxes."""
-    names = [n.strip() for n in basis.split(",")]
-    if [n.lower() for n in names] != ["pr2", "pr", "r"]:
-        raise click.UsageError("only the pr2,pr,r slice is supported")
     _emit(_slice_rows(_eff(etaA, etaB), grid), out, fmt)
 
 

@@ -7,20 +7,18 @@ re-solves of the float guides all go through it.  `coprime_integers` is
 its one normalizer of rational vectors to coprime integers (DD rays and
 canonical inequality keys).
 
-Linear programs are solved by a dense two-phase tableau simplex over
-`fractions.Fraction`.  Bland's rule guarantees termination; all
-certificates (primal solutions, dual vectors, Farkas infeasibility
-vectors) are exact.  Problems here are small (at most a few hundred
-columns), so a dense tableau is the simplest reliable choice.
-
-Feasibility problems (Ax = b, x >= 0) can also be guided by floating point
-("float guides, rationals certify"; Applegate, Cook, Dash & Espinoza,
-Oper. Res. Lett. 35 (2007)).  HiGHS picks the support of a basic solution,
-or the active set of a separating vector; `guided_point` and
-`guided_farkas` re-solve that choice exactly and return a rational
-candidate.  The float answer decides nothing: a candidate is only a
-guess until the caller has verified it in rationals, and when it fails the
-caller falls back to `solve_equality_form`.
+`solve_lp` is the one exact LP entry point: min c.x s.t. Ax = b, x >= 0.
+Floating point guides it ("float guides, rationals certify"; Applegate,
+Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).  HiGHS picks the
+support of an optimal x and the columns of zero reduced cost, or the
+active set of a separating vector; an exact re-solve of that choice gives
+a rational candidate, and `certify` checks it: x and the dual y, a Farkas
+vector, or an unbounded ray.  The float answer decides nothing.  When no
+candidate passes, `solve_equality_form` decides: a dense two-phase tableau
+simplex over `fractions.Fraction` whose answers carry the same exact
+certificates.  Bland's rule guarantees termination; problems here are
+small (at most a few hundred columns).  `maximize_over_hrep` solves
+max c.x over {x : Rx <= r} as its dual, min r.y s.t. R^T y = c, y >= 0.
 """
 
 from __future__ import annotations
@@ -53,7 +51,9 @@ class LPResult:
     """Outcome of an equality-form LP: min c.x s.t. Ax = b, x >= 0.
 
     ``dual`` satisfies dual.b = objective and c - dual.A >= 0 on optimality;
-    ``farkas`` satisfies farkas.A <= 0 and farkas.b > 0 on infeasibility.
+    ``farkas`` satisfies farkas.A <= 0 and farkas.b > 0 on infeasibility;
+    on unboundedness ``x`` is feasible and ``ray`` satisfies ray >= 0,
+    A.ray = 0 and c.ray < 0.  `certify` checks all of these.
     """
 
     status: str
@@ -61,6 +61,7 @@ class LPResult:
     objective: Optional[Fraction] = None
     dual: Optional[list] = None
     farkas: Optional[list] = None
+    ray: Optional[list] = None
 
 
 def _pivot(tableau: List[list], basis: List[int], row: int, col: int) -> None:
@@ -167,13 +168,20 @@ def solve_equality_form(
             cost = [cv - factor * av for cv, av in zip(cost, tableau[i])]
     tableau[-1] = cost
     status = _run_simplex(tableau, basis, n)
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED)
-
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = tableau[i][-1]
+    if status == UNBOUNDED:
+        # Bland stopped at its entering column, which has no positive
+        # entry: raising it while the basic variables follow is a ray.
+        col = next(j for j in range(n) if tableau[-1][j] < 0)
+        ray = [ZERO] * n
+        ray[col] = ONE
+        for i, bi in enumerate(basis):
+            if bi < n:
+                ray[bi] = -tableau[i][col]
+        return LPResult(status=UNBOUNDED, x=x, ray=ray)
     objective = sum(ci * xi for ci, xi in zip(c, x))
     y = [-tableau[-1][n + j] for j in range(m)]
     dual = [-v if flipped[j] else v for j, v in enumerate(y)]
@@ -187,29 +195,24 @@ def maximize_over_hrep(
 ) -> Fraction:
     """Exact max of objective.x over {x : rows.x <= rhs} (x free).
 
-    Raises Unbounded when the polyhedron is unbounded in the objective
-    direction and Infeasible when it is empty.
+    Solved as the dual, min rhs.y s.t. rows^T y = objective, y >= 0, whose
+    optimum is the maximum.  A dual that is unbounded proves the
+    polyhedron empty; a dual that is infeasible leaves it unbounded in the
+    objective direction or empty, which a feasibility LP settles.  Raises
+    Unbounded or Infeasible accordingly.
     """
-    m = len(rows)
-    d = len(objective)
-    # Split free variables and add slacks: rows.(u - v) + s = rhs.
-    A = []
-    for i, row in enumerate(rows):
-        base = [Fraction(v) for v in row]
-        arow = base + [-v for v in base] + [ZERO] * m
-        arow[2 * d + i] = ONE
-        A.append(arow)
-    c = (
-        [-Fraction(v) for v in objective]
-        + [Fraction(v) for v in objective]
-        + [ZERO] * m
-    )
-    result = solve_equality_form(A, list(rhs), c)
-    if result.status == UNBOUNDED:
-        raise Unbounded("objective unbounded over the H-polyhedron")
-    if result.status == INFEASIBLE:
-        raise Infeasible("empty H-polyhedron")
-    return -result.objective
+    m, d = len(rows), len(objective)
+    dual = solve_lp([[row[k] for row in rows] for k in range(d)], list(objective), list(rhs))
+    if dual.status == OPTIMAL:
+        return dual.objective
+    if dual.status == INFEASIBLE:
+        # rows.(u - v) + s = rhs with u, v, s >= 0.
+        split = [
+            list(row) + [-v for v in row] + _unit(i, m) for i, row in enumerate(rows)
+        ]
+        if solve_lp(split, list(rhs), [ZERO] * (2 * d + m)).status == OPTIMAL:
+            raise Unbounded("objective unbounded over the H-polyhedron")
+    raise Infeasible("empty H-polyhedron")
 
 
 def coprime_integers(values: Sequence) -> Tuple[int, ...]:
@@ -285,15 +288,13 @@ def solve_exact_system(
     return back_substitute(pivots, n, n)
 
 
-def _float_support(A: np.ndarray, b: np.ndarray) -> Optional[List[int]]:
-    """HiGHS dual simplex on Ax = b, x >= 0: the support of its basic
-    solution, or None when it finds none."""
-    res = highs(
-        np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds"
-    )
+def _float_optimum(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[tuple]:
+    """HiGHS dual simplex on min c.x s.t. Ax = b, x >= 0: its basic
+    solution x and dual y, or None when it reports no optimum."""
+    res = highs(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
     if res.status != 0:
         return None
-    return [j for j, v in enumerate(res.x) if v > SUPPORT_TOL]
+    return res.x, res.eqlin.marginals
 
 
 def _float_farkas(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -308,45 +309,132 @@ def _float_farkas(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     return res.x
 
 
-def guided_point(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """Exact candidate x for Ax = b, x >= 0, or None.
+def _unit(i: int, m: int) -> list:
+    return [ONE if k == i else ZERO for k in range(m)]
 
-    HiGHS chooses the support; the equations are re-solved exactly on the
-    support columns with every other entry zero.  Unverified: the caller
-    must check x >= 0 and Ax = b.
+
+def _solve_active(active: list, m: int) -> List[Fraction]:
+    """Exact y in m unknowns from (float slack, row, rhs) constraints
+    row.y = rhs: those with slack within ACTIVE_TOL, tightest first."""
+    active = sorted((a for a in active if a[0] <= ACTIVE_TOL), key=lambda a: a[0])
+    return solve_exact_system([a[1] for a in active], [a[2] for a in active], m)
+
+
+def _guided_point(A, b, c) -> Optional[LPResult]:
+    """Exact candidate optimum, or None.
+
+    HiGHS chooses the support of x and the active dual constraints.  x is
+    re-solved exactly on the support, every other entry zero; y from
+    y.A_j = c_j on columns of zero reduced cost and y_i = 0 where the float
+    dual vanishes (rows whose logical is basic, e.g. redundant rows).
     """
-    support = _float_support(np.array(A, dtype=float), np.array(b, dtype=float))
-    if support is None:
+    Af = np.array(A, dtype=float)
+    cf = np.array(c, dtype=float)
+    guide = _float_optimum(Af, np.array(b, dtype=float), cf)
+    if guide is None:
         return None
+    xf, yf = guide
+    m, n = Af.shape
+    support = [j for j, v in enumerate(xf) if v > SUPPORT_TOL]
     sol = solve_exact_system([[row[j] for j in support] for row in A], b, len(support))
-    x = [ZERO] * len(A[0])
+    x = [ZERO] * n
     for j, v in zip(support, sol):
         x[j] = v
-    return x
+    y = [ZERO] * m
+    if cf.any():
+        y = _solve_active(
+            [(s, [row[j] for row in A], c[j]) for j, s in enumerate(np.abs(cf - yf @ Af))]
+            + [(abs(yi), _unit(i, m), ZERO) for i, yi in enumerate(yf)],
+            m,
+        )
+    objective = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
+    return LPResult(status=OPTIMAL, x=x, objective=objective, dual=y)
 
 
-def guided_farkas(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
+def _guided_farkas(A, b, c) -> Optional[LPResult]:
     """Exact candidate Farkas vector y (y.A <= 0 < y.b), or None.
 
     HiGHS solves the boxed separation LP (see `_float_farkas`); y is then
-    re-solved exactly from the constraints active at the float optimum,
-    tightest first: columns with y.A_j = 0 and bounds y_i = +-1.
-    Unverified: the caller must check both inequalities.
+    re-solved exactly from the constraints active at the float optimum:
+    columns with y.A_j = 0 and bounds y_i = +-1.
     """
     Af = np.array(A, dtype=float)
     y = _float_farkas(Af, np.array(b, dtype=float))
     if y is None:
         return None
     m = len(A)
-    active = [
-        (abs(s), [row[j] for row in A], ZERO) for j, s in enumerate(y @ Af)
-    ] + [
-        (1 - abs(yi), [ONE if k == i else ZERO for k in range(m)], ONE if yi > 0 else -ONE)
-        for i, yi in enumerate(y)
-    ]
-    active = sorted((c for c in active if c[0] <= ACTIVE_TOL), key=lambda c: c[0])
-    return solve_exact_system([c[1] for c in active], [c[2] for c in active], m)
+    farkas = _solve_active(
+        [(abs(s), [row[j] for row in A], ZERO) for j, s in enumerate(y @ Af)]
+        + [(1 - abs(yi), _unit(i, m), ONE if yi > 0 else -ONE) for i, yi in enumerate(y)],
+        m,
+    )
+    return LPResult(status=INFEASIBLE, farkas=farkas)
+
+
+def certify(A, b, c, result: LPResult) -> None:
+    """Raise CertificateInvalid unless result proves its status exactly.
+
+    An optimum needs x >= 0, Ax = b, c - yA >= 0 and c.x = y.b (the
+    objective); infeasibility y.A <= 0 < y.b; unboundedness a feasible x
+    and a ray d >= 0 with Ad = 0 and c.d < 0.
+    """
+    m, n = len(A), len(c)
+
+    def feasible(x, rhs) -> bool:
+        if x is None or len(x) != n or any(v < 0 for v in x):
+            return False
+        used = [(j, v) for j, v in enumerate(x) if v]
+        return all(sum(row[j] * v for j, v in used) == r for row, r in zip(A, rhs))
+
+    def times_A(y) -> list:
+        used = [(yi, row) for yi, row in zip(y, A) if yi]
+        return [sum(yi * row[j] for yi, row in used if row[j]) for j in range(n)]
+
+    def dot(u, v):
+        return sum(p * q for p, q in zip(u, v) if p)
+
+    status = result.status
+    if status == OPTIMAL:
+        y = result.dual
+        ok = (
+            feasible(result.x, b)
+            and y is not None
+            and len(y) == m
+            and all(cj >= v for cj, v in zip(c, times_A(y)))
+            and result.objective == dot(c, result.x) == dot(y, b)
+        )
+    elif status == INFEASIBLE:
+        y = result.farkas
+        ok = y is not None and len(y) == m and all(v <= 0 for v in times_A(y)) and dot(y, b) > 0
+    else:
+        ok = (
+            status == UNBOUNDED
+            and feasible(result.x, b)
+            and feasible(result.ray, [ZERO] * m)
+            and dot(c, result.ray) < 0
+        )
+    if not ok:
+        raise CertificateInvalid(f"LP certificate for {status!r} does not verify")
+
+
+def solve_lp(A, b, c) -> LPResult:
+    """min c.x s.t. Ax = b, x >= 0, exactly, with a checked certificate.
+
+    Floating point guides: `_guided_point`, then `_guided_farkas`, propose
+    an exact answer; the first that passes `certify` is returned.  When
+    neither does, `solve_equality_form` decides.  Every returned result
+    has passed `certify`, which raises CertificateInvalid (also under
+    ``python -O``).
+    """
+    for guide in (_guided_point, _guided_farkas):
+        result = guide(A, b, c)
+        if result is None:
+            continue
+        try:
+            certify(A, b, c, result)
+        except CertificateInvalid:
+            continue
+        return result
+    result = solve_equality_form(A, b, c)
+    certify(A, b, c, result)
+    return result

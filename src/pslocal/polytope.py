@@ -3,14 +3,13 @@ certificates, facet enumeration, and the post-selected membership oracle.
 
 Vertices of a local polytope are deterministic strategy pairs; membership
 is decided over the vertex list, returning either an explicit convex
-combination or a separating inequality (Farkas dual).  Floating point
-(HiGHS) chooses the support of the combination or the active set of the
-separator, and an exact re-solve turns that choice into rationals; when
-the result does not verify, the exact phase-1 simplex decides instead.
-Every returned certificate is checked in rationals.  Facet enumeration
-goes through the double description method; a facet list memoized on
-disk is validated before it is trusted.  Ranks and LPs come from the
-exact core in `linprog`.
+combination or a separating inequality (Farkas dual).  Both LPs here,
+membership and the NS-triviality maximum (`lp_max`), go through
+`linprog.solve_lp`: HiGHS guides, an exact re-solve and check certify,
+and the exact simplex decides when the guide fails.  Facet enumeration
+goes through the double description method; every facet of a list
+memoized on disk must pass `verify_facet` before the list is trusted.
+Ranks and LPs come from the exact core in `linprog`.
 """
 
 from __future__ import annotations
@@ -38,17 +37,9 @@ from .core import (
     unflatten,
 )
 from .dd import facets_of_polytope
-from .errors import CertificateInvalid, DimensionMismatch, SizeLimit
+from .errors import DimensionMismatch, SizeLimit
 from .inequalities import Inequality, _cg_basis_tables, inequality_from_key
-from .linprog import (
-    INFEASIBLE,
-    OPTIMAL,
-    guided_farkas,
-    guided_point,
-    maximize_over_hrep,
-    row_reduce,
-    solve_equality_form,
-)
+from .linprog import OPTIMAL, maximize_over_hrep, row_reduce, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -153,47 +144,12 @@ class MembershipCertificate:
     separator: Optional[Inequality] = None
 
 
-def _certificate(
-    s: Scenario, inside: bool, vector: Sequence[Fraction]
-) -> MembershipCertificate:
-    """Weights (inside) or a Farkas vector (y, y0) over [vertices; 1]
-    (outside) as a certificate."""
-    if inside:
-        return MembershipCertificate(inside=True, weights=tuple(vector))
-    separator = Inequality(
-        s, tuple(vector[:-1]), offset=vector[-1], bound=ZERO, relation="<="
-    )
-    return MembershipCertificate(inside=False, separator=separator)
-
-
-def _verify(
-    cert: MembershipCertificate, q: CGVector, verts: Sequence[CGVector]
-) -> None:
-    """Raise CertificateInvalid unless cert proves its verdict on q exactly."""
-    if cert.inside:
-        w = cert.weights
-        if len(w) != len(verts) or any(x < 0 for x in w) or sum(w) != 1:
-            raise CertificateInvalid("weights are not a convex combination")
-        used = [(x, v.coords) for x, v in zip(w, verts) if x]
-        for i, qi in enumerate(q.coords):
-            if sum(x * c[i] for x, c in used) != qi:
-                raise CertificateInvalid("weights do not reconstruct the query")
-    else:
-        sep = cert.separator
-        if not all(sep.satisfied_by(v) for v in verts):
-            raise CertificateInvalid("separator is violated by a vertex")
-        if sep.satisfied_by(q):
-            raise CertificateInvalid("separator does not cut off the query")
-
-
 def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
     """Exact test for q in conv(vertices of poly).
 
-    HiGHS guides: its support gives candidate weights, its boxed
-    separation LP a candidate separator, both re-solved in rationals.  A
-    candidate that fails `_verify` is dropped; when none passes, the exact
-    Bland simplex decides.  The returned certificate has always passed
-    `_verify`, which raises CertificateInvalid (also under ``python -O``).
+    The feasibility LP (weights >= 0 reconstructing q and summing to 1)
+    goes through `solve_lp`, so its answer has passed the exact check
+    there: weights, or a Farkas vector that becomes the separator.
     """
     if poly.vertices is None:
         raise ValueError("membership requires a V-representation")
@@ -204,25 +160,15 @@ def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
     A = [[v.coords[i] for v in verts] for i in range(dim)]
     A.append([ONE] * len(verts))
     b = list(q.coords) + [ONE]
-    for inside, guide in ((True, guided_point), (False, guided_farkas)):
-        vector = guide(A, b)
-        if vector is None:
-            continue
-        cert = _certificate(poly.scenario, inside, vector)
-        try:
-            _verify(cert, q, verts)
-        except CertificateInvalid:
-            continue
-        return cert
-    result = solve_equality_form(A, b, [ZERO] * len(verts))
+    result = solve_lp(A, b, [ZERO] * len(verts))
     if result.status == OPTIMAL:
-        cert = _certificate(poly.scenario, True, result.x)
-    elif result.status == INFEASIBLE:
-        cert = _certificate(poly.scenario, False, result.farkas)
-    else:
-        raise CertificateInvalid(f"feasibility LP reported {result.status}")
-    _verify(cert, q, verts)
-    return cert
+        return MembershipCertificate(inside=True, weights=tuple(result.x))
+    # A Farkas vector (y, y0) over [vertices; 1]: y.v + y0 <= 0 < y.q + y0.
+    y = result.farkas
+    separator = Inequality(
+        poly.scenario, tuple(y[:-1]), offset=y[-1], bound=ZERO, relation="<="
+    )
+    return MembershipCertificate(inside=False, separator=separator)
 
 
 def is_ps_local(pps: JointTable, eff: Efficiencies) -> MembershipCertificate:
@@ -249,9 +195,11 @@ def _facet_cache_path(poly: PolytopeRep) -> Optional[str]:
     return os.path.join(cache_dir, f"facets-{digest[:24]}.json")
 
 
-def _read_facet_cache(path: str, s: Scenario) -> Optional[List[Inequality]]:
+def _read_facet_cache(path: str, poly: PolytopeRep) -> Optional[List[Inequality]]:
     """Facets stored at path, or None when the file is missing, does not
-    parse, or holds a key that is not s.cg_dim + 1 integers."""
+    parse, repeats a key, or holds a key that is not cg_dim + 1 integers
+    or whose inequality is not a facet of poly (`verify_facet`)."""
+    s = poly.scenario
     try:
         with open(path) as fh:
             keys = json.load(fh)
@@ -262,9 +210,12 @@ def _read_facet_cache(path: str, s: Scenario) -> Optional[List[Inequality]]:
         and len(k) == s.cg_dim + 1
         and all(type(c) is int for c in k)
         for k in keys
-    ):
+    ) or len({tuple(k) for k in keys}) != len(keys):
         return None
-    return [inequality_from_key(s, tuple(k)) for k in keys]
+    facets = [inequality_from_key(s, tuple(k)) for k in keys]
+    if not all(verify_facet(f, poly)["is_facet"] for f in facets):
+        return None
+    return facets
 
 
 def _write_facet_cache(path: str, facets: Sequence[Inequality]) -> None:
@@ -290,8 +241,8 @@ def enumerate_facets(
     Output is canonically scaled (coprime integers, relation '<=') and
     deterministically ordered, independent of vertex input order.  Results
     are memoized in PSLOCAL_CACHE_DIR when that variable is set; a cache
-    file that does not parse or has keys of the wrong length is recomputed
-    and overwritten.
+    file that does not parse, or holds a key that is not a facet, is
+    recomputed and overwritten.
     """
     if poly.vertices is None:
         raise ValueError("facet enumeration requires a V-representation")
@@ -299,7 +250,7 @@ def enumerate_facets(
         raise ValueError("facet enumeration requires a full-dimensional polytope")
     cache_path = _facet_cache_path(poly)
     if cache_path:
-        cached = _read_facet_cache(cache_path, poly.scenario)
+        cached = _read_facet_cache(cache_path, poly)
         if cached is not None:
             return cached
     deadline = time.monotonic() + budget_seconds if budget_seconds else None

@@ -56,7 +56,7 @@ from .inequalities import (
     orbit_key_set,
     thresholds,
 )
-from .linprog import INFEASIBLE, OPTIMAL, solve_equality_form
+from .linprog import INFEASIBLE, OPTIMAL, solve_lp
 from .polytope import (
     affine_rank,
     enumerate_facets,
@@ -621,7 +621,7 @@ class _PsProgram:
         obj, const = self.objective_row(ineq)
         A = [list(r) for r, _ in rows]
         bvec = [rhs for _, rhs in rows]
-        res = solve_equality_form(A, bvec, [-c for c in obj])
+        res = solve_lp(A, bvec, [-c for c in obj])
         if res.status == INFEASIBLE:
             return None, None
         if res.status != OPTIMAL:  # a bounded polytope: never unbounded
@@ -711,7 +711,7 @@ def ps_facet_check(eff: Efficiencies, ineq: Inequality) -> dict:
                 directions.append(delta)
                 break
         else:
-            raise AssertionError("separated optima yielded no new direction")
+            raise CertificateInvalid("separated optima yielded no new direction")
     face_dim = len(directions)
     result.update({"face_dim": face_dim, "is_facet": face_dim == dim - 1})
     return result

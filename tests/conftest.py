@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import pslocal.linprog
 from pslocal.core import CHSH, JointTable, Scenario
 
 
@@ -69,3 +71,26 @@ def rng() -> random.Random:
 @pytest.fixture
 def chsh() -> Scenario:
     return CHSH
+
+
+@pytest.fixture
+def wrong_guides(monkeypatch) -> list:
+    """Float guides of `linprog.solve_lp` forced wrong: the optimum guide
+    proposes the first column alone with a zero dual, and the Farkas
+    guide the all-ones vector.  Returns the list of results of the exact
+    simplex that decides instead, appended as it is called."""
+    monkeypatch.setattr(
+        pslocal.linprog,
+        "_float_optimum",
+        lambda A, b, c: (np.eye(A.shape[1])[0], np.zeros(A.shape[0])),
+    )
+    monkeypatch.setattr(pslocal.linprog, "_float_farkas", lambda A, b: np.ones(A.shape[0]))
+    results = []
+    exact = pslocal.linprog.solve_equality_form
+
+    def spy(*args):
+        results.append(exact(*args))
+        return results[-1]
+
+    monkeypatch.setattr(pslocal.linprog, "solve_equality_form", spy)
+    return results

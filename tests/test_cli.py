@@ -170,3 +170,10 @@ class TestErrorHandling:
 
     def test_threads_option_is_gone(self, runner):
         assert runner.invoke(main, ["--threads", "1", "vertices"]).exit_code == 2
+
+    def test_slice_basis_option_is_gone(self, runner):
+        result = runner.invoke(
+            main, ["slice", "--etaA", "0.8", "--etaB", "0.8", "--grid", "3",
+                   "--basis", "pr2,pr,r"],
+        )
+        assert result.exit_code == 2

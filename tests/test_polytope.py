@@ -1,11 +1,9 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import pslocal.linprog
-import pslocal.polytope
 from pslocal.core import (
     CHSH,
     Efficiencies,
@@ -115,7 +113,8 @@ class TestFacets:
 
 class TestFacetCache:
     """A cached facet list is trusted only when it parses with the right
-    key length; otherwise it is recomputed and overwritten."""
+    key length and every key is a facet; otherwise it is recomputed and
+    overwritten."""
 
     def test_bad_cache_files_are_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSLOCAL_CACHE_DIR", str(tmp_path))
@@ -132,6 +131,18 @@ class TestFacetCache:
             assert path.read_text() == good
 
         assert [f.key() for f in enumerate_facets(poly)] == want
+
+    def test_wrong_cached_facets_are_recomputed(self, tmp_path, monkeypatch):
+        # Well-formed keys of a valid but non-facet inequality (0 <= 1).
+        monkeypatch.setenv("PSLOCAL_CACHE_DIR", str(tmp_path))
+        poly = local_polytope(CHSH)
+        want = [f.key() for f in enumerate_facets(poly)]
+        (path,) = tmp_path.glob("facets-*.json")
+        good = path.read_text()
+        path.write_text(json.dumps([[0] * 8 + [1]] * 3))
+        facets = enumerate_facets(poly)
+        assert len(facets) == 24 and [f.key() for f in facets] == want
+        assert path.read_text() == good
 
 
 class TestMembership:
@@ -160,25 +171,8 @@ class TestMembership:
 
 
 class TestMembershipFallback:
-    """When the float guide is wrong, the exact simplex decides."""
-
-    @pytest.fixture
-    def wrong_guides(self, monkeypatch):
-        # A support of one vertex cannot reconstruct a PR-box lift, and the
-        # all-ones vector is violated by every vertex.
-        monkeypatch.setattr(pslocal.linprog, "_float_support", lambda A, b: [0])
-        monkeypatch.setattr(
-            pslocal.linprog, "_float_farkas", lambda A, b: np.ones(A.shape[0])
-        )
-        results = []
-        exact = pslocal.polytope.solve_equality_form
-
-        def spy(*args):
-            results.append(exact(*args))
-            return results[-1]
-
-        monkeypatch.setattr(pslocal.polytope, "solve_equality_form", spy)
-        return results
+    """When the float guide is wrong, the exact simplex decides (see the
+    ``wrong_guides`` fixture)."""
 
     @pytest.mark.parametrize("eta, inside", [(F(2, 3), True), (F(3, 4), False)])
     def test_wrong_guides_fall_back_to_exact_simplex(self, wrong_guides, eta, inside):
@@ -201,10 +195,10 @@ class TestMembershipFallback:
             assert not cert.separator.satisfied_by(q)
 
     def test_bad_exact_answer_raises(self, monkeypatch):
-        monkeypatch.setattr(pslocal.linprog, "_float_support", lambda A, b: None)
+        monkeypatch.setattr(pslocal.linprog, "_float_optimum", lambda A, b, c: None)
         monkeypatch.setattr(pslocal.linprog, "_float_farkas", lambda A, b: None)
         monkeypatch.setattr(
-            pslocal.polytope,
+            pslocal.linprog,
             "solve_equality_form",
             lambda A, b, c: LPResult(OPTIMAL, x=[F(1)] + [F(0)] * (len(c) - 1)),
         )

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import pslocal.linprog
 import pslocal.psfacets
 from pslocal.core import CHSH, Efficiencies, is_nonsignaling, lift, to_cg
 from pslocal.errors import CertificateInvalid, InvalidSetup
@@ -173,10 +174,39 @@ class TestPsFacetCheck:
     def test_unexpected_lp_status_raises(self, monkeypatch):
         # An LP over the bounded L_ps cannot be unbounded; the status check
         # must hold under python -O too.
+        monkeypatch.setattr(pslocal.linprog, "_float_optimum", lambda A, b, c: None)
+        monkeypatch.setattr(pslocal.linprog, "_float_farkas", lambda A, b: None)
         monkeypatch.setattr(
-            pslocal.psfacets, "solve_equality_form", lambda A, b, c: LPResult(UNBOUNDED)
+            pslocal.linprog, "solve_equality_form", lambda A, b, c: LPResult(UNBOUNDED)
         )
         with pytest.raises(CertificateInvalid):
+            ps_facet_check(LIGHT, ch_eta(LIGHT))
+
+    def test_wrong_guides_fall_back_to_exact_simplex(self, request):
+        prog = pslocal.psfacets._PsProgram(CHSH, LIGHT)
+        canon = ch_eta(LIGHT).canonical_scaled()
+        probe = ns_hrep(CHSH).facets[0]
+        guided = [prog.maximize(canon)[0], prog.maximize(probe, face_of=canon)[0]]
+        fallbacks = request.getfixturevalue("wrong_guides")
+        exact = [prog.maximize(canon)[0], prog.maximize(probe, face_of=canon)[0]]
+        assert len(fallbacks) == 2
+        assert exact == guided and guided[0] == canon.bound
+
+    def test_separated_optima_without_new_direction_raise(self, monkeypatch):
+        # Face probes whose max and min differ but whose optima both sit at
+        # the base point contradict each other; that must be a domain error
+        # (which the CLI reports), not an AssertionError.
+        exact = pslocal.psfacets._PsProgram.maximize
+        base = []
+
+        def separated_at_base(self, ineq, face_of=None):
+            if face_of is None:
+                base.append(exact(self, ineq))
+                return base[0]
+            return F(1), base[0][1]
+
+        monkeypatch.setattr(pslocal.psfacets._PsProgram, "maximize", separated_at_base)
+        with pytest.raises(CertificateInvalid, match="no new direction"):
             ps_facet_check(LIGHT, ch_eta(LIGHT))
 
     def test_invalid_inequality_flagged(self):
