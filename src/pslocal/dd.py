@@ -10,9 +10,13 @@ Implementation notes:
 * all ray vectors are kept as coprime integer tuples; the base, the
   initial cone and the scaling come from the exact core in `linprog`
   (`row_reduce`, `back_substitute`, `coprime_integers`);
-* active-constraint sets are bitmasks over the already-inserted rows, so
-  the combinatorial adjacency test is a couple of machine-word operations
-  after a popcount prefilter;
+* active-constraint sets are bitmasks over the already-inserted rows; a
+  (positive, negative) pair that shares at least dim - 2 of them (popcount
+  prefilter) is adjacent iff no third ray is active on all rows they share
+  (Fukuda & Prodon, *Double description method revisited*, 1996).  That
+  test is evaluated on an inverted index built once per step, a bitmask
+  over ray indices for each row: AND the masks of the shared rows and
+  compare with the pair, at most one big-integer AND per shared row;
 * constraints are inserted in lexicographic order of their normalized rows,
   which makes the output independent of the input ordering.
 """
@@ -38,9 +42,9 @@ def extreme_rays(
     time.monotonic() cap; exceeding it raises BudgetExceeded.
     """
     norm_rows = sorted(set(coprime_integers(r) for r in rows))
-    dim = len(norm_rows[0])
+    dim = len(norm_rows[0]) if norm_rows else 0
     base_idx, _ = row_reduce(norm_rows, dim)
-    if len(base_idx) < dim:
+    if not norm_rows or len(base_idx) < dim:
         raise ValueError("constraint rows do not have full rank")
 
     # Initial simplicial cone from the base rows: ray i solves
@@ -73,10 +77,19 @@ def extreme_rays(
             n_processed += 1
             continue
 
+        # Inverted index: rays_on[j] is the set of rays (bitmask over ray
+        # indices) active on inserted row j.
+        rays_on = [0] * n_processed
+        for k, m in enumerate(masks):
+            ray_bit = 1 << k
+            while m:
+                low = m & -m
+                rays_on[low.bit_length() - 1] |= ray_bit
+                m ^= low
+        all_rays = (1 << len(rays)) - 1
         new_rays: List[Tuple[int, ...]] = []
         new_masks: List[int] = []
         min_common = dim - 2
-        n_rays = len(rays)
         for ip in pos:
             mp = masks[ip]
             vp = values[ip]
@@ -86,13 +99,16 @@ def extreme_rays(
                 if common.bit_count() < min_common:
                     continue
                 # Combinatorial adjacency: no third ray's active set
-                # contains the common active set.
-                adjacent = True
-                for k in range(n_rays):
-                    if k != ip and k != ineg and masks[k] & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                # contains the common active set, i.e. the rays active on
+                # every row of it are exactly this pair.
+                pair = (1 << ip) | (1 << ineg)
+                shared = all_rays
+                c = common
+                while c and shared != pair:
+                    low = c & -c
+                    shared &= rays_on[low.bit_length() - 1]
+                    c ^= low
+                if shared != pair:
                     continue
                 vn = values[ineg]
                 rn = rays[ineg]

@@ -477,9 +477,11 @@ def _orbit_keys(
     w0, _ = functional_to_full(seed)
     w0 = tuple(int(c) for c in w0)
 
+    # Nonzero (index, value) pairs of each table, so a key sums only those.
+    sparse = [[(i, t) for i, t in enumerate(table) if t] for table in (t0, *basis)]
+
     def cg_key(w: tuple) -> tuple:
-        off = sum(wi * ti for wi, ti in zip(w, t0) if ti)
-        coeffs = [sum(wi * ti for wi, ti in zip(w, bi) if ti) for bi in basis]
+        off, *coeffs = [sum(w[i] * t for i, t in table) for table in sparse]
         coeffs.append(rhs0 - off)
         return coprime_integers(coeffs)
 

@@ -7,18 +7,13 @@ combination or a separating inequality (Farkas dual).  Both LPs here,
 membership and the NS-triviality maximum (`lp_max`), go through
 `linprog.solve_lp`: HiGHS guides, an exact re-solve and check certify,
 and the exact simplex decides when the guide fails.  Facet enumeration
-goes through the double description method; every facet of a list
-memoized on disk must pass `verify_facet` before the list is trusted.
-Ranks and LPs come from the exact core in `linprog`.
+goes through the double description method.  Ranks and LPs come from
+the exact core in `linprog`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,88 +174,23 @@ def is_ps_local(pps: JointTable, eff: Efficiencies) -> MembershipCertificate:
     return membership(to_cg(p0), local_polytope(p0.scenario))
 
 
-# Bumped whenever the cache file layout changes; part of the hashed key.
-_CACHE_FORMAT = 1
-
-
-def _facet_cache_path(poly: PolytopeRep) -> Optional[str]:
-    cache_dir = os.environ.get("PSLOCAL_CACHE_DIR")
-    if not cache_dir:
-        return None
-    payload = {
-        "format": _CACHE_FORMAT,
-        "vertices": [[str(c) for c in v.coords] for v in poly.vertices],
-    }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    return os.path.join(cache_dir, f"facets-{digest[:24]}.json")
-
-
-def _read_facet_cache(path: str, poly: PolytopeRep) -> Optional[List[Inequality]]:
-    """Facets stored at path, or None when the file is missing, does not
-    parse, repeats a key, or holds a key that is not cg_dim + 1 integers
-    or whose inequality is not a facet of poly (`verify_facet`)."""
-    s = poly.scenario
-    try:
-        with open(path) as fh:
-            keys = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(keys, list) or not all(
-        isinstance(k, list)
-        and len(k) == s.cg_dim + 1
-        and all(type(c) is int for c in k)
-        for k in keys
-    ) or len({tuple(k) for k in keys}) != len(keys):
-        return None
-    facets = [inequality_from_key(s, tuple(k)) for k in keys]
-    if not all(verify_facet(f, poly)["is_facet"] for f in facets):
-        return None
-    return facets
-
-
-def _write_facet_cache(path: str, facets: Sequence[Inequality]) -> None:
-    """Write through a temporary file in the cache directory, then rename,
-    so a reader never sees a partial file."""
-    cache_dir = os.path.dirname(path) or "."
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump([list(f.key()) for f in facets], fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def enumerate_facets(
     poly: PolytopeRep, budget_seconds: Optional[float] = None
 ) -> List[Inequality]:
     """Complete irredundant H-representation via double description.
 
     Output is canonically scaled (coprime integers, relation '<=') and
-    deterministically ordered, independent of vertex input order.  Results
-    are memoized in PSLOCAL_CACHE_DIR when that variable is set; a cache
-    file that does not parse, or holds a key that is not a facet, is
-    recomputed and overwritten.
+    deterministically ordered, independent of vertex input order.
     """
     if poly.vertices is None:
         raise ValueError("facet enumeration requires a V-representation")
     if poly.dim != poly.scenario.cg_dim:
         raise ValueError("facet enumeration requires a full-dimensional polytope")
-    cache_path = _facet_cache_path(poly)
-    if cache_path:
-        cached = _read_facet_cache(cache_path, poly)
-        if cached is not None:
-            return cached
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
     raw = facets_of_polytope([v.coords for v in poly.vertices], deadline=deadline)
-    facets = [
+    return [
         inequality_from_key(poly.scenario, coeffs + (rhs,)) for coeffs, rhs in raw
     ]
-    if cache_path:
-        _write_facet_cache(cache_path, facets)
-    return facets
 
 
 def verify_facet(ineq: Inequality, poly: PolytopeRep) -> dict:

@@ -1,8 +1,11 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pslocal.dd import extreme_rays, facets_of_polytope
 from pslocal.errors import BudgetExceeded
@@ -82,3 +85,80 @@ def test_budget_is_enforced():
 def test_rank_deficiency_rejected():
     with pytest.raises(ValueError):
         extreme_rays([(1, 0), (2, 0)])
+    with pytest.raises(ValueError):
+        extreme_rays([])
+    with pytest.raises(ValueError):
+        facets_of_polytope([])
+
+
+def _det(m):
+    """Integer determinant by the Leibniz formula (tiny matrices only)."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _brute_force_facets(points):
+    """Facets (coeffs, rhs) of conv(points), coprime and sorted: every
+    hyperplane through d affinely independent points that all points lie
+    on one side of.  The hyperplane is the kernel of the rows (p, 1),
+    given by the signed maximal minors (generalized cross product)."""
+    d = len(points[0])
+    facets = set()
+    for subset in itertools.combinations(points, d):
+        rows = [tuple(p) + (1,) for p in subset]
+        normal = [
+            (-1) ** k * _det([r[:k] + r[k + 1:] for r in rows])
+            for k in range(d + 1)
+        ]
+        coeffs, rhs = normal[:d], -normal[d]
+        if not any(coeffs):
+            continue  # affinely dependent subset
+        values = [sum(c * x for c, x in zip(coeffs, p)) for p in points]
+        if all(v <= rhs for v in values):
+            key = coeffs + [rhs]
+        elif all(v >= rhs for v in values):
+            key = [-c for c in coeffs] + [-rhs]
+        else:
+            continue
+        g = math.gcd(*key)
+        facets.add((tuple(c // g for c in key[:d]), key[d] // g))
+    return sorted(facets)
+
+
+def _full_dimensional(points):
+    d = len(points[0])
+    return any(
+        _det([tuple(p) + (1,) for p in subset])
+        for subset in itertools.combinations(points, d + 1)
+    )
+
+
+@st.composite
+def point_sets(draw):
+    """At most 10 integer points spanning a full-dimensional polytope in
+    dimension 1 to 4; dimension 1 gives a cone of dimension 2, whose
+    adjacent rays share no active row."""
+    d = draw(st.integers(1, 4))
+    # A small coordinate range puts many points on common faces.
+    size = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-size, size)] * d)
+    return draw(st.lists(point, min_size=d + 1, max_size=10).filter(_full_dimensional))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+# Degenerate: a pair of rays passes the popcount prefilter without being
+# adjacent, so dropping the adjacency test adds a redundant facet.
+@example([(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1),
+          (0, 1, 0, -1), (-1, 0, 0, -1), (-1, 0, 1, -1), (-1, 0, -1, -1)])
+def test_facets_match_brute_force(points):
+    assert facets_of_polytope(points) == _brute_force_facets(points)

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -109,40 +108,6 @@ class TestFacets:
             CHSH, ch().coeffs, ch().offset, F(-1, 10), "<="
         )
         assert not verify_facet(tightened, poly)["valid"]
-
-
-class TestFacetCache:
-    """A cached facet list is trusted only when it parses with the right
-    key length and every key is a facet; otherwise it is recomputed and
-    overwritten."""
-
-    def test_bad_cache_files_are_recomputed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSLOCAL_CACHE_DIR", str(tmp_path))
-        poly = local_polytope(CHSH)
-        want = [f.key() for f in enumerate_facets(poly)]
-        (path,) = tmp_path.glob("facets-*.json")
-        good = path.read_text()
-        assert json.loads(good) == [list(k) for k in want]
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-        for bad in (good[: len(good) // 2], json.dumps([k[:-1] for k in want])):
-            path.write_text(bad)
-            assert [f.key() for f in enumerate_facets(poly)] == want
-            assert path.read_text() == good
-
-        assert [f.key() for f in enumerate_facets(poly)] == want
-
-    def test_wrong_cached_facets_are_recomputed(self, tmp_path, monkeypatch):
-        # Well-formed keys of a valid but non-facet inequality (0 <= 1).
-        monkeypatch.setenv("PSLOCAL_CACHE_DIR", str(tmp_path))
-        poly = local_polytope(CHSH)
-        want = [f.key() for f in enumerate_facets(poly)]
-        (path,) = tmp_path.glob("facets-*.json")
-        good = path.read_text()
-        path.write_text(json.dumps([[0] * 8 + [1]] * 3))
-        facets = enumerate_facets(poly)
-        assert len(facets) == 24 and [f.key() for f in facets] == want
-        assert path.read_text() == good
 
 
 class TestMembership:
