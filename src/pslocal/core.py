@@ -182,9 +182,6 @@ class JointTable:
                             if v < 0 or v > 1:
                                 raise NotAProbability(f"entry {v} outside [0, 1]")
 
-    def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
-        return self.p[x][y][a][b]
-
     def marginal_A(self, x: int, a: int, y: int = 0) -> Fraction:
         """P_A(a|x), computed from the given Bob input (default 0)."""
         return sum(self.p[x][y][a])
@@ -224,9 +221,6 @@ class CGVector:
                 f"expected {self.scenario.cg_dim} coordinates, got {len(coords)}"
             )
         object.__setattr__(self, "coords", coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 def cg_index_marginal_A(s: Scenario, x: int, a: int) -> int:

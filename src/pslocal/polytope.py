@@ -3,12 +3,14 @@ certificates, facet enumeration, and the post-selected membership oracle.
 
 Vertices of a local polytope are deterministic strategy pairs; membership
 is decided over the vertex list, returning either an explicit convex
-combination or a separating inequality (Farkas dual).  Both LPs here,
-membership and the NS-triviality maximum (`lp_max`), go through
-`linprog.solve_lp`: HiGHS guides, an exact re-solve and check certify,
-and the exact simplex decides when the guide fails.  Facet enumeration
-goes through the double description method.  Ranks and LPs come from
-the exact core in `linprog`.
+combination or a separating inequality (Farkas dual).  That LP, and the
+H-rep maximum `lp_max`, go through `linprog.solve_lp`: HiGHS guides, an
+exact re-solve and check certify, and the exact simplex decides when
+the guide fails.  NS-triviality is not an LP: the vertices of a
+scenario's non-signaling polytope are enumerated once, by double
+description, and each check is one exact integer product against them.
+Facet enumeration goes through the double description method.  Ranks
+and LPs come from the exact core in `linprog`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     CGVector,
@@ -31,8 +35,8 @@ from .core import (
     to_cg,
     unflatten,
 )
-from .dd import facets_of_polytope
-from .errors import DimensionMismatch, SizeLimit
+from .dd import extreme_rays, facets_of_polytope
+from .errors import CertificateInvalid, DimensionMismatch, SizeLimit
 from .inequalities import Inequality, _cg_basis_tables, inequality_from_key
 from .linprog import OPTIMAL, maximize_over_hrep, row_reduce, solve_lp
 
@@ -249,8 +253,57 @@ def lp_max(ineq: Inequality, hrep: PolytopeRep) -> Fraction:
     return ineq.offset + maximize_over_hrep(rows, rhs, ineq.coeffs)
 
 
+class _NsVertices(NamedTuple):
+    """The vertices of a scenario's NS polytope, as homogeneous rays."""
+
+    rays: tuple  # coprime integer (r0, r...) with vertex r / r0, r0 > 0
+    matrix: np.ndarray  # the rays as an int64 matrix, one row per ray
+    max_entry: int  # max |entry| of the rays
+    rows: tuple  # the NS H-rep as (rhs, -coeffs...): row . ray >= 0
+
+
+@lru_cache(maxsize=None)
+def _ns_vertices(s: Scenario) -> _NsVertices:
+    """Vertices of the non-signaling polytope, by double description on
+    the homogenised `ns_hrep`: (t, x) with t * rhs - coeffs . x >= 0 and
+    t >= 0.  The polytope is bounded, so every extreme ray has t > 0."""
+    keys = [f.key() for f in ns_hrep(s).facets]
+    rows = tuple((k[-1],) + tuple(-c for c in k[:-1]) for k in keys)
+    rays = tuple(extreme_rays(rows + ((1,) + (0,) * s.cg_dim,)))
+    max_entry = max(abs(v) for ray in rays for v in ray)
+    return _NsVertices(rays, np.array(rays, dtype=np.int64), max_entry, rows)
+
+
 def is_trivial_for_ns(ineq: Inequality) -> bool:
     """True when the inequality cannot be violated by any non-signaling
-    correlation (its LHS maximum over the NS polytope respects the bound)."""
-    canon = ineq.canonical_scaled()
-    return lp_max(canon, ns_hrep(canon.scenario)) <= canon.bound
+    correlation: its LHS maximum over the NS polytope respects the bound.
+
+    The maximum is taken over the NS polytope's vertices (`_ns_vertices`)
+    by one exact integer product with the canonical key.  The product
+    runs in int64 only when max|w| * max|ray| * len(w) < 2**62 bounds
+    every partial sum; otherwise in Python ints.
+
+    A non-trivial verdict is certified: the violating vertex is checked
+    exactly against every NS H-rep row, and `CertificateInvalid` is raised
+    if it fails.  A trivial verdict rests on the vertex list being
+    complete, which is the double description guarantee that the facet
+    censuses rest on too.
+    """
+    ns = _ns_vertices(ineq.scenario)
+    key = ineq.key()
+    # w . (r0, r) = r0 * (coeffs . v - rhs) for the vertex v = r / r0.
+    w = (-key[-1],) + key[:-1]
+    exact_in_int64 = max(abs(c) for c in w) * ns.max_entry * len(w) < 2 ** 62
+    dtype = np.int64 if exact_in_int64 else object
+    values = ns.matrix.astype(dtype, copy=False) @ np.array(w, dtype=dtype)
+    best = int(np.argmax(values))
+    if values[best] <= 0:
+        return True
+    ray = ns.rays[best]
+    if not (
+        ray[0] > 0
+        and sum(a * b for a, b in zip(w, ray)) > 0
+        and all(sum(a * b for a, b in zip(row, ray)) >= 0 for row in ns.rows)
+    ):
+        raise CertificateInvalid("NS witness vertex fails the exact check")
+    return False

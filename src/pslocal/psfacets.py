@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -133,6 +134,7 @@ def lift_functional(facet: Inequality, eff: Efficiencies) -> Inequality:
     return functional_from_full(sps, w, const, facet.bound, facet.relation)
 
 
+@lru_cache(maxsize=None)
 def _family_key_sets(sps: Scenario, eff: Efficiencies) -> Dict[Classification, frozenset]:
     """Canonical-key orbits of the known non-trivial families.
 
@@ -238,10 +240,6 @@ def _reduce(sps: Scenario, w, const) -> tuple:
     return ineq.coeffs, ineq.offset
 
 
-def _expression(ineq: Inequality) -> tuple:
-    return ineq.coeffs, ineq.offset
-
-
 def verify_cglmp_implication(eff: Efficiencies) -> dict:
     """The CGLMP-derived inequality is implied by the upper CH bound.
 
@@ -314,7 +312,8 @@ def verify_decompositions(eff: Efficiencies) -> dict:
     """
     a, b = eff.etaA, eff.etaB
     e = a * b
-    upper = _expression(ch_eta(eff))
+    ch = ch_eta(eff)
+    upper = (ch.coeffs, ch.offset)
     report: dict = {"etaA": str(a), "etaB": str(b)}
 
     # Upper bound: I = -[ (a+b-3ab) P(11|11) + a(1-b) P(12|11)
@@ -782,21 +781,16 @@ def verify_appendix_b(eta, facet_budget_seconds: Optional[float] = None) -> dict
         facets = None
     if facets is not None:
         orbits = _orbit_census(facets)
-        trivial_keys = {f.key() for f in ns_hrep(s0).facets}
+        labelled = [
+            ("trivial", {f.key() for f in ns_hrep(s0).facets}),
+            ("ch", orbit_key_set(ch_rep)),
+        ] + [(f"new-{k}", orbit_key_set(i3223(k))) for k in (1, 2, 3)]
         families = {}
         for orbit in orbits:
-            rep = orbit["representative"]
-            if rep.key() in trivial_keys:
-                label = "trivial"
-            elif rep.key() in orbit_key_set(ch_rep):
-                label = "ch"
-            else:
-                for k in (1, 2, 3):
-                    if rep.key() in orbit_key_set(i3223(k)):
-                        label = f"new-{k}"
-                        break
-                else:
-                    label = "unrecognized"
+            key = orbit["representative"].key()
+            label = next(
+                (name for name, keys in labelled if key in keys), "unrecognized"
+            )
             families[label] = families.get(label, 0) + orbit["size"]
         report["census"] = {
             "status": "verified",

@@ -124,19 +124,14 @@ class FloatTable:
 
 def correlation(setup: QubitSetup) -> FloatTable:
     """Born-rule conditional probabilities for every setting pair."""
-    mA = len(setup.alice_settings)
-    mB = len(setup.bob_settings)
+    # <psi| Pa (x) Pb |psi> = sum Pa[i,k] Pb[j,l] psi[kl] conj(psi[ij]),
+    # for every (x, y, a, b) at once over the stacked projectors.
+    pa = np.array([_projectors(n) for n in setup.alice_settings])
+    pb = np.array([_projectors(n) for n in setup.bob_settings])
     psi = setup.state
-    p = np.empty((mA, mB, 2, 2))
-    for x, na in enumerate(setup.alice_settings):
-        pa = _projectors(na)
-        for y, nb in enumerate(setup.bob_settings):
-            pb = _projectors(nb)
-            for a in range(2):
-                for b in range(2):
-                    op = np.kron(pa[a], pb[b])
-                    p[x, y, a, b] = max(np.vdot(psi, op @ psi).real, 0.0)
-    scenario = Scenario(mA, mB, 2, 2)
+    rho = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2)
+    p = np.maximum(np.einsum("xaik,ybjl,klij->xyab", pa, pb, rho).real, 0.0)
+    scenario = Scenario(len(pa), len(pb), 2, 2)
     return FloatTable(scenario, p)
 
 

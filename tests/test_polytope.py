@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pslocal.linprog
+import pslocal.polytope
 from pslocal.core import (
     CHSH,
     Efficiencies,
@@ -11,8 +14,15 @@ from pslocal.core import (
     named_correlation,
     to_cg,
 )
+from pslocal.dd import facets_of_polytope
 from pslocal.errors import CertificateInvalid, SizeLimit
-from pslocal.inequalities import ch, orbit_key_set
+from pslocal.inequalities import (
+    THREE_INPUT_L0,
+    THREE_INPUT_PS,
+    Inequality,
+    ch,
+    orbit_key_set,
+)
 from pslocal.linprog import OPTIMAL, LPResult
 from pslocal.polytope import (
     affine_rank,
@@ -20,6 +30,7 @@ from pslocal.polytope import (
     enumerate_vertices,
     is_ps_local,
     is_trivial_for_ns,
+    _ns_vertices,
     local_polytope,
     lp_max,
     membership,
@@ -182,3 +193,62 @@ class TestNonSignalingHrep:
 
     def test_trivial_detection(self):
         assert not is_trivial_for_ns(ch())
+
+
+def _lp_verdict(ineq):
+    canon = ineq.canonical_scaled()
+    return lp_max(canon, ns_hrep(canon.scenario)) <= canon.bound
+
+
+@pytest.fixture(scope="module")
+def a_priori_facets():
+    return enumerate_facets(local_polytope(CHSH.with_no_detection()))
+
+
+class TestNsVertices:
+    @pytest.mark.parametrize(
+        "scenario, count",
+        [(CHSH, 24), (THREE_INPUT_PS, 128),
+         (CHSH.with_no_detection(), 1161), (THREE_INPUT_L0, 1512)],
+    )
+    def test_vertex_counts(self, scenario, count):
+        assert len(_ns_vertices(scenario).rays) == count
+
+    @pytest.mark.parametrize("scenario", [CHSH, THREE_INPUT_PS])
+    def test_vertices_give_back_the_hrep(self, scenario):
+        vertices = [
+            [F(v, ray[0]) for v in ray[1:]] for ray in _ns_vertices(scenario).rays
+        ]
+        keys = {coeffs + (rhs,) for coeffs, rhs in facets_of_polytope(vertices)}
+        assert keys == {f.key() for f in ns_hrep(scenario).facets}
+
+    def test_verdicts_match_the_lp(self, a_priori_facets):
+        s0 = CHSH.with_no_detection()
+        sample = random.Random(8).sample(a_priori_facets, 60)
+        checked = sample + list(ns_hrep(s0).facets)
+        verdicts = [is_trivial_for_ns(f) for f in checked]
+        assert verdicts == [_lp_verdict(f) for f in checked]
+        assert False in verdicts and True in verdicts
+
+    def test_non_ns_witness_raises(self, monkeypatch):
+        ns = _ns_vertices(CHSH)
+        # A point far outside NS that maximizes CH over the patched list.
+        bad = (1,) + tuple(100 * c for c in ch().key()[:-1])
+        rays = ns.rays + (bad,)
+        patched = ns._replace(
+            rays=rays,
+            matrix=np.array(rays, dtype=np.int64),
+            max_entry=max(abs(v) for r in rays for v in r),
+        )
+        monkeypatch.setattr(pslocal.polytope, "_ns_vertices", lambda s: patched)
+        with pytest.raises(CertificateInvalid):
+            is_trivial_for_ns(ch())
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficients_beyond_int64(self, sign):
+        # Coprime key (c, 0, ..., 0, 1) with |c| > 2**63: the product runs
+        # in Python ints (the int64 bound fails).
+        c = sign * (2 ** 63 + 1)
+        ineq = Inequality(CHSH, (c,) + (0,) * 7, bound=1)
+        assert ineq.key() == (c,) + (0,) * 7 + (1,)
+        assert is_trivial_for_ns(ineq) == _lp_verdict(ineq) == (sign < 0)
