@@ -9,7 +9,7 @@ facets ``(-r) . x <= r0``.
 Implementation notes:
 * all ray vectors are kept as coprime integer tuples; the base, the
   initial cone and the scaling come from the exact core in `linprog`
-  (`row_reduce`, `back_substitute`, `coprime_integers`);
+  (`row_reduce`, `solution`, `coprime_integers`);
 * active-constraint sets are bitmasks over the already-inserted rows; a
   (positive, negative) pair that shares at least dim - 2 of them (popcount
   prefilter) is adjacent iff no third ray is active on all rows they share
@@ -27,7 +27,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
-from .linprog import back_substitute, coprime_integers, row_reduce
+from .linprog import coprime_integers, row_reduce, solution
 
 
 def extreme_rays(
@@ -55,7 +55,7 @@ def extreme_rays(
          for i, k in enumerate(base_idx)],
         dim,
     )
-    rays = [coprime_integers(back_substitute(pivots, dim, dim + i)) for i in range(dim)]
+    rays = [coprime_integers(solution(pivots, dim, dim + i)[0]) for i in range(dim)]
     full_base_mask = (1 << dim) - 1
     masks = [full_base_mask ^ (1 << i) for i in range(dim)]
     in_base = set(base_idx)

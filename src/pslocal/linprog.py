@@ -1,19 +1,22 @@
-"""The exact core: rational row reduction, coprime scaling and linear
+"""The exact core: integer row reduction, coprime scaling and linear
 programming with certificates.
 
-`row_reduce` is the package's one Gaussian elimination: affine ranks, the
-base and initial cone of the double description method and the exact
+The core computes over integers; only its inputs and the certificates it
+returns are rational (`fractions.Fraction`).  `row_reduce` is the
+package's one Gaussian elimination, fraction-free: affine ranks, the base
+and initial cone of the double description method and the exact
 re-solves of the float guides all go through it.  `coprime_integers` is
-its one normalizer of rational vectors to coprime integers (DD rays and
+the one normalizer of rational vectors to coprime integers (DD rays and
 canonical inequality keys).
 
-`solve_lp` is the one exact LP entry point: min c.x s.t. Ax = b, x >= 0.
+`solve_lp` is the one exact LP entry point: min c.x s.t. Ax = b, x >= 0,
+over a matrix scaled to integers row by row once (`exact_matrix`).
 Floating point guides it ("float guides, rationals certify"; Applegate,
 Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).  HiGHS picks the
 support of an optimal x and the columns of zero reduced cost, or the
 active set of a separating vector; an exact re-solve of that choice gives
-a rational candidate, and `certify` checks it: x and the dual y, a Farkas
-vector, or an unbounded ray.  The float answer decides nothing.  When no
+a candidate, and `certify` checks it: x and the dual y, a Farkas vector,
+or an unbounded ray.  The float answer decides nothing.  When no
 candidate passes, `solve_equality_form` decides: a dense two-phase tableau
 simplex over `fractions.Fraction` whose answers carry the same exact
 certificates.  Bland's rule guarantees termination; problems here are
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog as highs
@@ -215,17 +218,22 @@ def maximize_over_hrep(
     raise Infeasible("empty H-polyhedron")
 
 
-def coprime_integers(values: Sequence) -> Tuple[int, ...]:
-    """Scale a rational vector (ints or Fractions) by a positive factor to
-    coprime integers.  The zero vector stays zero."""
+def common_denominator(values: Sequence) -> Tuple[List[int], int]:
+    """Integer numerators over one positive common denominator D of a
+    rational vector (ints or Fractions): values[i] == ints[i] / D."""
     denom = 1
     for v in values:
         if v.denominator != 1:
             denom = lcm(denom, v.denominator)
     if denom == 1:
-        ints = [v.numerator for v in values]
-    else:
-        ints = [v.numerator * (denom // v.denominator) for v in values]
+        return [v.numerator for v in values], 1
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def coprime_integers(values: Sequence) -> Tuple[int, ...]:
+    """Scale a rational vector (ints or Fractions) by a positive factor to
+    coprime integers.  The zero vector stays zero."""
+    ints, _ = common_denominator(values)
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -233,50 +241,62 @@ def coprime_integers(values: Sequence) -> Tuple[int, ...]:
 
 
 def row_reduce(rows: Sequence[Sequence], n: int) -> Tuple[List[int], List[tuple]]:
-    """Forward elimination over the rationals.
+    """Forward elimination over the integers (gcd-reduced, fraction-free).
 
     Each row has n coefficient columns, optionally followed by right-hand
     side columns that are carried along but never pivoted on.  Rows are
     taken in order and kept when independent of the rows kept before, up
     to n of them.  Returns the indices of the kept rows and, for each, its
-    pivot as (pivot column, non-zero columns, row scaled to 1 at the
-    pivot column).  Each pivot row is zero in the pivot columns of the
-    rows kept before it, and elimination only touches non-zero columns.
+    pivot as (pivot column, non-zero columns, coprime integer row positive
+    at the pivot column).  Each pivot row is zero in the pivot columns of
+    the rows kept before it.
     """
     kept: List[int] = []
     pivots: List[tuple] = []
     for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
+        vec = list(coprime_integers(row))
         for col, nz, prow in pivots:
-            factor = vec[col]
-            if factor:
+            f = vec[col]
+            if f:
+                p = prow[col]
+                if p != 1:
+                    g = gcd(p, f)
+                    p, f = p // g, f // g
+                    if p != 1:
+                        vec = [p * v for v in vec]
                 for j in nz:
-                    vec[j] -= factor * prow[j]
+                    vec[j] -= f * prow[j]
         col = next((j for j in range(n) if vec[j]), -1)
         if col < 0:
             continue
-        inv = ONE / vec[col]
-        prow = [v * inv for v in vec]
+        g = gcd(*vec) if vec[col] > 0 else -gcd(*vec)
+        if g != 1:
+            vec = [v // g for v in vec]
         kept.append(idx)
-        pivots.append((col, [j for j, v in enumerate(prow) if v], prow))
+        pivots.append((col, [j for j, v in enumerate(vec) if v], vec))
         if len(pivots) == n:
             break
     return kept, pivots
 
 
-def back_substitute(pivots: Sequence[tuple], n: int, rhs: int) -> List[Fraction]:
-    """Solution of the kept rows of `row_reduce` for right-hand side
-    column ``rhs``; unknowns without a pivot are set to zero.  Runs from
-    the last pivot to the first (see the pivot order of `row_reduce`)."""
-    x = [ZERO] * n
+def solution(pivots: Sequence[tuple], n: int, rhs: int) -> Tuple[List[int], int]:
+    """Solution of the kept rows of `row_reduce` for right-hand side column
+    ``rhs`` (unknowns without a pivot set to zero), by integer back
+    substitution: numerators over one positive common denominator."""
+    x = [0] * n
+    denom = 1
     for col, nz, prow in reversed(pivots):
-        x[col] = prow[rhs] - sum(prow[j] * x[j] for j in nz if j != col and j < n)
-    return x
+        num = prow[rhs] * denom - sum(prow[j] * x[j] for j in nz if j != col and j < n)
+        g = gcd(num, prow[col])
+        p = prow[col] // g
+        if p != 1:
+            x = [v * p for v in x]
+            denom *= p
+        x[col] = num // g
+    return x, denom
 
 
-def solve_exact_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int
-) -> List[Fraction]:
+def solve_exact_system(rows: Sequence[Sequence], rhs: Sequence, n: int) -> List[Fraction]:
     """An exact solution of rows.x = rhs in n unknowns.
 
     Rows are taken in order and kept only when independent of the rows
@@ -285,7 +305,37 @@ def solve_exact_system(
     the caller verifies it.
     """
     _, pivots = row_reduce([list(row) + [r] for row, r in zip(rows, rhs)], n)
-    return back_substitute(pivots, n, n)
+    x, denom = solution(pivots, n, n)
+    return [Fraction(v, denom) for v in x]
+
+
+class ExactMatrix(NamedTuple):
+    """An LP matrix A, built once: ``rows[i]`` is row i of A times the
+    positive integer ``scale[i]``, ``cols`` the columns of ``rows`` and
+    ``dense`` A in floating point.  A dual y of A is y / scale on rows."""
+
+    rows: tuple
+    scale: tuple
+    cols: tuple
+    dense: np.ndarray
+
+
+def exact_matrix(A) -> ExactMatrix:
+    """`ExactMatrix` of a matrix of ints and Fractions (or A itself)."""
+    if isinstance(A, ExactMatrix):
+        return A
+    rows, scale = [], []
+    for row in A:
+        ints, denom = common_denominator(row)
+        rows.append(tuple(ints))
+        scale.append(denom)
+    dense = np.array(rows, dtype=float) / np.array(scale, dtype=float)[:, None]
+    return ExactMatrix(tuple(rows), tuple(scale), tuple(zip(*rows)), dense)
+
+
+def _scaled(M: ExactMatrix, b: Sequence) -> list:
+    """b times the row scales: rows.x = that iff A.x = b (see ExactMatrix)."""
+    return [v if s == 1 else s * v for s, v in zip(M.scale, b)]
 
 
 def _float_optimum(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[tuple]:
@@ -310,7 +360,7 @@ def _float_farkas(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _unit(i: int, m: int) -> list:
-    return [ONE if k == i else ZERO for k in range(m)]
+    return [1 if k == i else 0 for k in range(m)]
 
 
 def _solve_active(active: list, m: int) -> List[Fraction]:
@@ -328,25 +378,28 @@ def _guided_point(A, b, c) -> Optional[LPResult]:
     y.A_j = c_j on columns of zero reduced cost and y_i = 0 where the float
     dual vanishes (rows whose logical is basic, e.g. redundant rows).
     """
-    Af = np.array(A, dtype=float)
+    M = exact_matrix(A)
     cf = np.array(c, dtype=float)
-    guide = _float_optimum(Af, np.array(b, dtype=float), cf)
+    guide = _float_optimum(M.dense, np.array(b, dtype=float), cf)
     if guide is None:
         return None
     xf, yf = guide
-    m, n = Af.shape
+    m, n = M.dense.shape
     support = [j for j, v in enumerate(xf) if v > SUPPORT_TOL]
-    sol = solve_exact_system([[row[j] for j in support] for row in A], b, len(support))
+    on_support = [[row[j] for j in support] for row in M.rows]
+    sol = solve_exact_system(on_support, _scaled(M, b), len(support))
     x = [ZERO] * n
     for j, v in zip(support, sol):
         x[j] = v
     y = [ZERO] * m
     if cf.any():
+        # Solved for y / scale on the integer rows (see ExactMatrix).
         y = _solve_active(
-            [(s, [row[j] for row in A], c[j]) for j, s in enumerate(np.abs(cf - yf @ Af))]
-            + [(abs(yi), _unit(i, m), ZERO) for i, yi in enumerate(yf)],
+            [(s, M.cols[j], c[j]) for j, s in enumerate(np.abs(cf - yf @ M.dense))]
+            + [(abs(yi), _unit(i, m), 0) for i, yi in enumerate(yf)],
             m,
         )
+        y = _scaled(M, y)
     objective = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
     return LPResult(status=OPTIMAL, x=x, objective=objective, dual=y)
 
@@ -358,17 +411,19 @@ def _guided_farkas(A, b, c) -> Optional[LPResult]:
     re-solved exactly from the constraints active at the float optimum:
     columns with y.A_j = 0 and bounds y_i = +-1.
     """
-    Af = np.array(A, dtype=float)
-    y = _float_farkas(Af, np.array(b, dtype=float))
+    M = exact_matrix(A)
+    y = _float_farkas(M.dense, np.array(b, dtype=float))
     if y is None:
         return None
-    m = len(A)
+    m = len(M.rows)
+    # Solved for y / scale on the integer rows, as in `_guided_point`.
+    bounds = [Fraction(1 if yi > 0 else -1, s) for yi, s in zip(y, M.scale)]
     farkas = _solve_active(
-        [(abs(s), [row[j] for row in A], ZERO) for j, s in enumerate(y @ Af)]
-        + [(1 - abs(yi), _unit(i, m), ONE if yi > 0 else -ONE) for i, yi in enumerate(y)],
+        [(abs(s), M.cols[j], 0) for j, s in enumerate(y @ M.dense)]
+        + [(1 - abs(yi), _unit(i, m), bounds[i]) for i, yi in enumerate(y)],
         m,
     )
-    return LPResult(status=INFEASIBLE, farkas=farkas)
+    return LPResult(status=INFEASIBLE, farkas=_scaled(M, farkas))
 
 
 def certify(A, b, c, result: LPResult) -> None:
@@ -376,43 +431,54 @@ def certify(A, b, c, result: LPResult) -> None:
 
     An optimum needs x >= 0, Ax = b, c - yA >= 0 and c.x = y.b (the
     objective); infeasibility y.A <= 0 < y.b; unboundedness a feasible x
-    and a ray d >= 0 with Ad = 0 and c.d < 0.
+    and a ray d >= 0 with Ad = 0 and c.d < 0.  Every check runs in
+    integers: each vector over one common denominator, A as `exact_matrix`.
     """
-    m, n = len(A), len(c)
+    M = exact_matrix(A)
+    m, n = len(M.rows), len(c)
+    B, b_den = common_denominator(_scaled(M, b))
+    C, c_den = common_denominator(c)
 
-    def feasible(x, rhs) -> bool:
-        if x is None or len(x) != n or any(v < 0 for v in x):
-            return False
-        used = [(j, v) for j, v in enumerate(x) if v]
-        return all(sum(row[j] * v for j, v in used) == r for row, r in zip(A, rhs))
+    def point(x, rhs) -> Optional[tuple]:
+        """(numerators, denominator) of x if x >= 0 and rows.x = rhs / b_den."""
+        if x is None or len(x) != n:
+            return None
+        X, den = common_denominator(x)
+        used = [(j, v) for j, v in enumerate(X) if v]
+        if all(v > 0 for _, v in used) and all(
+            sum(row[j] * v for j, v in used) * b_den == r * den for row, r in zip(M.rows, rhs)
+        ):
+            return X, den
+        return None
 
-    def times_A(y) -> list:
-        used = [(yi, row) for yi, row in zip(y, A) if yi]
-        return [sum(yi * row[j] for yi, row in used if row[j]) for j in range(n)]
+    def dual(y) -> Optional[tuple]:
+        """(numerators of y.A, of y.b, denominator), from y' = y / scale."""
+        if y is None or len(y) != m:
+            return None
+        y = [v if s == 1 else Fraction(v) / s for v, s in zip(y, M.scale)]
+        Y, den = common_denominator(y)
+        return [dot(Y, col) for col in M.cols], dot(Y, B), den
 
-    def dot(u, v):
+    def dot(u, v) -> int:
         return sum(p * q for p, q in zip(u, v) if p)
 
     status = result.status
-    if status == OPTIMAL:
-        y = result.dual
+    if status == INFEASIBLE:
+        y = dual(result.farkas)
+        ok = y is not None and all(v <= 0 for v in y[0]) and y[1] > 0
+    elif status == OPTIMAL:
+        x, y = point(result.x, B), dual(result.dual)
         ok = (
-            feasible(result.x, b)
+            x is not None
             and y is not None
-            and len(y) == m
-            and all(cj >= v for cj, v in zip(c, times_A(y)))
-            and result.objective == dot(c, result.x) == dot(y, b)
+            and all(cj * y[2] >= v * c_den for cj, v in zip(C, y[0]))
+            and result.objective
+            == Fraction(dot(C, x[0]), c_den * x[1])
+            == Fraction(y[1], y[2] * b_den)
         )
-    elif status == INFEASIBLE:
-        y = result.farkas
-        ok = y is not None and len(y) == m and all(v <= 0 for v in times_A(y)) and dot(y, b) > 0
     else:
-        ok = (
-            status == UNBOUNDED
-            and feasible(result.x, b)
-            and feasible(result.ray, [ZERO] * m)
-            and dot(c, result.ray) < 0
-        )
+        x, ray = point(result.x, B), point(result.ray, [0] * m)
+        ok = status == UNBOUNDED and x is not None and ray is not None and dot(C, ray[0]) < 0
     if not ok:
         raise CertificateInvalid(f"LP certificate for {status!r} does not verify")
 
@@ -426,15 +492,17 @@ def solve_lp(A, b, c) -> LPResult:
     has passed `certify`, which raises CertificateInvalid (also under
     ``python -O``).
     """
+    M = exact_matrix(A)
     for guide in (_guided_point, _guided_farkas):
-        result = guide(A, b, c)
+        result = guide(M, b, c)
         if result is None:
             continue
         try:
-            certify(A, b, c, result)
+            certify(M, b, c, result)
         except CertificateInvalid:
             continue
         return result
-    result = solve_equality_form(A, b, c)
-    certify(A, b, c, result)
+    rational_rows = [[Fraction(v, s) for v in row] for row, s in zip(M.rows, M.scale)]
+    result = solve_equality_form(rational_rows, b, c)
+    certify(M, b, c, result)
     return result

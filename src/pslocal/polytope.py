@@ -5,12 +5,14 @@ Vertices of a local polytope are deterministic strategy pairs; membership
 is decided over the vertex list, returning either an explicit convex
 combination or a separating inequality (Farkas dual).  That LP, and the
 H-rep maximum `lp_max`, go through `linprog.solve_lp`: HiGHS guides, an
-exact re-solve and check certify, and the exact simplex decides when
-the guide fails.  NS-triviality is not an LP: the vertices of a
+exact integer re-solve and check certify, and the exact simplex decides
+when the guide fails.  The membership matrix (integer and float) is
+built once per polytope.  NS-triviality is not an LP: the vertices of a
 scenario's non-signaling polytope are enumerated once, by double
 description, and each check is one exact integer product against them.
-Facet enumeration goes through the double description method.  Ranks
-and LPs come from the exact core in `linprog`.
+Facet enumeration goes through the double description method; facet
+verification takes integer slacks from the coprime key.  Ranks and LPs
+come from the integer exact core in `linprog`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -38,7 +40,16 @@ from .core import (
 from .dd import extreme_rays, facets_of_polytope
 from .errors import CertificateInvalid, DimensionMismatch, SizeLimit
 from .inequalities import Inequality, _cg_basis_tables, inequality_from_key
-from .linprog import OPTIMAL, maximize_over_hrep, row_reduce, solve_lp
+from .linprog import (
+    OPTIMAL,
+    ExactMatrix,
+    common_denominator,
+    coprime_integers,
+    exact_matrix,
+    maximize_over_hrep,
+    row_reduce,
+    solve_lp,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -85,14 +96,14 @@ def enumerate_vertices(s: Scenario, cap: int = 10 ** 6) -> List[Vertex]:
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Exact affine rank (dimension of the affine hull) of a point set."""
-    points = [tuple(p) for p in points]
-    if not points:
+    """Exact affine rank (dimension of the affine hull) of a point set:
+    the rank of the homogenised points (1, p), less one, by the integer
+    `row_reduce`."""
+    rows = [(1,) + tuple(p) for p in points]
+    if not rows:
         return -1
-    origin = points[0]
-    diffs = [[a - o for a, o in zip(p, origin)] for p in points[1:]]
-    kept, _ = row_reduce(diffs, len(origin))
-    return len(kept)
+    kept, _ = row_reduce(rows, len(rows[0]))
+    return len(kept) - 1
 
 
 @dataclass
@@ -111,6 +122,15 @@ class PolytopeRep:
                 raise ValueError("dimension unknown without vertices")
             self._dim = affine_rank([v.coords for v in self.vertices])
         return self._dim
+
+    @cached_property
+    def lp_matrix(self) -> ExactMatrix:
+        """The matrix of the membership LP, built on first use and kept:
+        one column per vertex, its coordinates over a 1.  Like ``dim``, it
+        assumes the vertex list is not changed afterwards."""
+        if self.vertices is None:
+            raise ValueError("membership requires a V-representation")
+        return exact_matrix(list(zip(*(tuple(v.coords) + (1,) for v in self.vertices))))
 
     def to_dict(self) -> dict:
         out = {"scenario": self.scenario.to_dict()}
@@ -147,19 +167,14 @@ def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
     """Exact test for q in conv(vertices of poly).
 
     The feasibility LP (weights >= 0 reconstructing q and summing to 1)
-    goes through `solve_lp`, so its answer has passed the exact check
-    there: weights, or a Farkas vector that becomes the separator.
+    over the polytope's cached `lp_matrix` goes through `solve_lp`, so its
+    answer has passed the exact check there: weights, or a Farkas vector
+    that becomes the separator.
     """
-    if poly.vertices is None:
-        raise ValueError("membership requires a V-representation")
+    A = poly.lp_matrix
     if q.scenario != poly.scenario:
         raise DimensionMismatch("query and polytope over different scenarios")
-    verts = poly.vertices
-    dim = len(q.coords)
-    A = [[v.coords[i] for v in verts] for i in range(dim)]
-    A.append([ONE] * len(verts))
-    b = list(q.coords) + [ONE]
-    result = solve_lp(A, b, [ZERO] * len(verts))
+    result = solve_lp(A, list(q.coords) + [ONE], [0] * len(A.cols))
     if result.status == OPTIMAL:
         return MembershipCertificate(inside=True, weights=tuple(result.x))
     # A Farkas vector (y, y0) over [vertices; 1]: y.v + y0 <= 0 < y.q + y0.
@@ -208,10 +223,13 @@ def verify_facet(ineq: Inequality, poly: PolytopeRep) -> dict:
     """
     if poly.vertices is None:
         raise ValueError("verify_facet requires a V-representation")
+    key = ineq.key()
     valid = True
     tight = []
     for v in poly.vertices:
-        slack = ineq.slack(v)
+        # v = ints / den; the slack times den > 0, from the coprime key.
+        ints, den = common_denominator(v.coords)
+        slack = key[-1] * den - sum(k * x for k, x in zip(key, ints) if x)
         if slack < 0:
             valid = False
         elif slack == 0:
@@ -225,31 +243,19 @@ def ns_hrep(s: Scenario) -> PolytopeRep:
     """H-representation of the non-signaling polytope in CG coordinates:
     positivity of every reconstructed probability."""
     t0, basis = _cg_basis_tables(s)
-    facets = []
-    n = len(t0)
-    for i in range(n):
-        coeffs = tuple(Fraction(-bj[i]) for bj in basis)
-        facets.append(
-            Inequality(s, coeffs, offset=ZERO, bound=Fraction(t0[i]), relation="<=")
-        )
-    # Deduplicate (entries fixed to zero by the scenario would repeat).
-    seen = {}
-    for f in facets:
-        seen.setdefault(f.key(), f)
-    ordered = [seen[k] for k in sorted(seen)]
-    return PolytopeRep(s, facets=ordered, _dim=s.cg_dim)
+    # One coprime key per table entry; entries fixed to zero by the
+    # scenario would repeat.
+    keys = {coprime_integers([-bj[i] for bj in basis] + [t0[i]]) for i in range(len(t0))}
+    facets = [inequality_from_key(s, k) for k in sorted(keys)]
+    return PolytopeRep(s, facets=facets, _dim=s.cg_dim)
 
 
 def lp_max(ineq: Inequality, hrep: PolytopeRep) -> Fraction:
     """Exact maximum of the inequality's left-hand side over an H-polytope."""
     if hrep.facets is None:
         raise ValueError("lp_max requires an H-representation")
-    rows = []
-    rhs = []
-    for f in hrep.facets:
-        key = f.key()
-        rows.append([Fraction(c) for c in key[:-1]])
-        rhs.append(Fraction(key[-1]))
+    keys = [f.key() for f in hrep.facets]
+    rows, rhs = [k[:-1] for k in keys], [k[-1] for k in keys]
     return ineq.offset + maximize_over_hrep(rows, rhs, ineq.coeffs)
 
 

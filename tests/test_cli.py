@@ -139,6 +139,16 @@ class TestErrorHandling:
         assert result.exit_code == 1
         assert "error" in json.loads(result.stderr)
 
+    def test_zero_denominator_exits_one(self, runner):
+        result = runner.invoke(
+            main,
+            ["membership", "--corr", "pr", "--etaA", "1/0", "--etaB", "1"],
+        )
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)
+        assert error["error"] == "ValueError"
+        assert "zero denominator" in error["message"]
+
     def test_missing_file_exits_one(self, runner):
         result = runner.invoke(
             main,

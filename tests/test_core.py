@@ -38,6 +38,8 @@ def test_rational_parsing():
     assert rational(3) == 3
     with pytest.raises(TypeError):
         rational(0.5)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational("1/0")
 
 
 def test_scenario_dimensions():

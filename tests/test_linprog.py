@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,9 @@ from pslocal.linprog import (
     _guided_point,
     certify,
     coprime_integers,
+    exact_matrix,
     maximize_over_hrep,
+    row_reduce,
     solve_equality_form,
     solve_exact_system,
     solve_lp,
@@ -142,11 +147,13 @@ def lp_systems(draw):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
     entry = st.integers(-3, 3)
-    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    # Rational entries, so that the per-row integer scaling is exercised.
+    a_entry = st.fractions(-3, 3, max_denominator=4)
+    A = draw(st.lists(st.lists(a_entry, min_size=n, max_size=n), min_size=m, max_size=m))
     x0 = draw(st.lists(st.fractions(0, 3, max_denominator=4), min_size=n, max_size=n))
     c = draw(st.lists(entry, min_size=n, max_size=n))
     A = A + [[1] * n]
-    b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+    b = [sum((a * v for a, v in zip(row, x0)), F(0)) for row in A]
     if status == INFEASIBLE:
         A = A + [A[0]]
         b = b + [b[0] + draw(st.sampled_from([F(-1, 2), F(1)]))]
@@ -201,3 +208,109 @@ def test_hrep_with_wrong_guides_falls_back(wrong_guides):
         maximize_over_hrep([[1], [-1]], [F(-1), F(-1)], [1])
     with pytest.raises(Unbounded):
         maximize_over_hrep([[1, 0]], [1], [0, 1])
+
+
+def _fraction_elimination(rows, n):
+    """Textbook Gaussian elimination in Fractions: the indices of the rows
+    kept (independent of those before, at most n) and the solution of the
+    kept rows for the last column, unknowns without a pivot set to zero."""
+    kept, pivots = [], []
+    for idx, row in enumerate(rows):
+        vec = [F(v) for v in row]
+        for col, prow in pivots:
+            factor = vec[col]
+            vec = [a - factor * p for a, p in zip(vec, prow)]
+        col = next((j for j in range(n) if vec[j]), None)
+        if col is None:
+            continue
+        vec = [v / vec[col] for v in vec]
+        kept.append(idx)
+        pivots.append((col, vec))
+        if len(pivots) == n:
+            break
+    x = [F(0)] * n
+    for col, prow in reversed(pivots):
+        x[col] = prow[n] - sum(prow[j] * x[j] for j in range(n) if j != col)
+    return kept, x
+
+
+@st.composite
+def exact_systems(draw):
+    """Rows [A | b] with rational entries, some of them combinations of
+    earlier rows, so that dependent rows are met and skipped."""
+    n = draw(st.integers(1, 5))
+    value = st.fractions(-4, 4, max_denominator=4)
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, c = draw(value), draw(value)
+            rows.append([a * u + c * v for u, v in zip(rows[i], rows[j])])
+        else:
+            rows.append(draw(st.lists(value, min_size=n + 1, max_size=n + 1)))
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_systems())
+def test_integer_elimination_matches_fractions(system):
+    rows, n = system
+    kept, x = _fraction_elimination(rows, n)
+    got, pivots = row_reduce(rows, n)
+    assert got == kept
+    assert solve_exact_system([r[:n] for r in rows], [r[n] for r in rows], n) == x
+    for k, (col, nz, prow) in enumerate(pivots):
+        assert all(type(v) is int for v in prow)
+        assert prow[col] > 0 and coprime_integers(prow) == tuple(prow)
+        assert nz == [j for j, v in enumerate(prow) if v]
+        assert all(prow[c] == 0 for c, _, _ in pivots[:k])
+
+
+def test_exact_matrix_scales_rows_to_integers():
+    A = [[F(1, 2), F(-1, 3), 0], [1, 2, 3]]
+    M = exact_matrix(A)
+    assert M.rows == ((3, -2, 0), (1, 2, 3))
+    assert M.scale == (6, 1)
+    assert M.cols == ((3, 1), (-2, 2), (0, 3))
+    assert M.dense.tolist() == [[0.5, -1 / 3, 0.0], [1.0, 2.0, 3.0]]
+    assert exact_matrix(M) is M
+
+
+def test_certify_raises_under_python_O():
+    """The certificate checks are real checks: a python -O run, which
+    strips asserts, still rejects a tampered membership certificate."""
+    code = """
+import sys
+from fractions import Fraction
+from pslocal.core import Efficiencies, lift, named_correlation, to_cg
+from pslocal.errors import CertificateInvalid
+from pslocal.linprog import LPResult, certify, solve_lp
+from pslocal.polytope import local_polytope
+
+if __debug__:
+    sys.exit("asserts are on")
+for eta in (Fraction(2, 3), Fraction(3, 4)):
+    q = to_cg(lift(named_correlation("PR"), Efficiencies.of(eta, eta)))
+    A = local_polytope(q.scenario).lp_matrix
+    b, c = list(q.coords) + [1], [0] * len(A.cols)
+    res = solve_lp(A, b, c)
+    certify(A, b, c, res)
+    if res.x is not None:  # inside: move one vertex's weight to another
+        x = list(res.x)
+        j = next(j for j, v in enumerate(x) if v)
+        x[j - 1], x[j] = x[j - 1] + x[j], Fraction(0)
+        tampered = LPResult(res.status, x=x, objective=res.objective, dual=res.dual)
+    else:  # outside: flip the separator
+        tampered = LPResult(res.status, farkas=[-v for v in res.farkas])
+    try:
+        certify(A, b, c, tampered)
+    except CertificateInvalid:
+        print(res.status, "rejected")
+"""
+    src = os.path.dirname(os.path.dirname(pslocal.linprog.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["optimal rejected", "infeasible rejected"]

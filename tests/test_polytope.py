@@ -15,7 +15,7 @@ from pslocal.core import (
     to_cg,
 )
 from pslocal.dd import facets_of_polytope
-from pslocal.errors import CertificateInvalid, SizeLimit
+from pslocal.errors import CertificateInvalid, DimensionMismatch, SizeLimit
 from pslocal.inequalities import (
     THREE_INPUT_L0,
     THREE_INPUT_PS,
@@ -23,8 +23,9 @@ from pslocal.inequalities import (
     ch,
     orbit_key_set,
 )
-from pslocal.linprog import OPTIMAL, LPResult
+from pslocal.linprog import OPTIMAL, LPResult, certify
 from pslocal.polytope import (
+    PolytopeRep,
     affine_rank,
     enumerate_facets,
     enumerate_vertices,
@@ -180,6 +181,48 @@ class TestMembershipFallback:
         )
         with pytest.raises(CertificateInvalid):
             is_ps_local(named_correlation("PR"), Efficiencies.of(F(2, 3), F(2, 3)))
+
+
+class TestMembershipMatrix:
+    """The membership LP's matrix is built once per PolytopeRep, from its
+    own vertex list, and reused by every query."""
+
+    def test_shuffled_vertices_rebuild_q_in_their_own_order(self):
+        s = CHSH.with_no_detection()
+        verts = list(local_polytope(s).vertices)
+        random.Random(7).shuffle(verts)
+        poly = PolytopeRep(s, vertices=verts)
+        q = to_cg(lift(named_correlation("PR"), Efficiencies.of(F(2, 3), F(2, 3))))
+        cert = membership(q, poly)
+        assert cert.inside and sum(cert.weights) == 1
+        for i, qi in enumerate(q.coords):
+            assert sum(w * v.coords[i] for w, v in zip(cert.weights, verts)) == qi
+        assert poly.lp_matrix.cols == tuple(tuple(v.coords) + (1,) for v in verts)
+
+    def test_scenarios_never_share_a_matrix(self):
+        small, big = local_polytope(CHSH), local_polytope(CHSH.with_no_detection())
+        membership(to_cg(named_correlation("PR")), small)
+        q = to_cg(lift(named_correlation("PR"), Efficiencies.of(F(3, 4), F(3, 4))))
+        assert not membership(q, big).inside
+        assert small.lp_matrix is not big.lp_matrix
+        assert small.lp_matrix.dense.shape == (9, 16)
+        assert big.lp_matrix.dense.shape == (25, 81)
+        matrix = big.lp_matrix
+        membership(q, big)
+        assert big.lp_matrix is matrix  # kept, not rebuilt
+        with pytest.raises(DimensionMismatch):
+            membership(q, small)
+
+    @pytest.mark.parametrize("eta", [F(2, 3), F(3, 4)])
+    def test_wrong_guides_fall_back_on_the_cached_matrix(self, wrong_guides, eta):
+        q = to_cg(lift(named_correlation("PR"), Efficiencies.of(eta, eta)))
+        poly = local_polytope(q.scenario)
+        matrix = poly.lp_matrix
+        cert = membership(q, poly)
+        assert len(wrong_guides) == 1
+        assert poly.lp_matrix is matrix
+        certify(matrix, list(q.coords) + [1], [0] * len(matrix.cols), wrong_guides[0])
+        assert cert.inside == (eta == F(2, 3))
 
 
 class TestNonSignalingHrep:
