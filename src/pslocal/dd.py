@@ -7,16 +7,20 @@ polytope conv(V) reduces to this: homogenize each vertex v into the row
 facets ``(-r) . x <= r0``.
 
 Implementation notes:
-* all ray vectors are kept as coprime integer tuples; the base, the
-  initial cone and the scaling come from the exact core in `linprog`
-  (`row_reduce`, `solution`, `coprime_integers`);
-* active-constraint sets are bitmasks over the already-inserted rows; a
-  (positive, negative) pair that shares at least dim - 2 of them (popcount
-  prefilter) is adjacent iff no third ray is active on all rows they share
-  (Fukuda & Prodon, *Double description method revisited*, 1996).  That
-  test is evaluated on an inverted index built once per step, a bitmask
-  over ray indices for each row: AND the masks of the shared rows and
-  compare with the pair, at most one big-integer AND per shared row;
+* the rays are one integer matrix R, one coprime row per ray; the base,
+  the initial cone and the scaling come from the exact core in `linprog`
+  (`row_reduce`, `solution`, `coprime_integers`, `coprime_rows`).  A
+  step's values R @ h and its new rays vp * rn - vn * rp run in int64
+  while the bounds max|h| * max|R| * dim and 2 * max|v| * max|R| stay
+  below 2**62, and in Python ints (dtype object) otherwise (`int_dtype`);
+* active sets are a float32 0/1 matrix, rays x inserted rows, so that a
+  matrix product counts shared rows exactly.  A (positive, negative) pair
+  that shares at least dim - 2 active rows (prefilter, A[pos] @ A[neg].T)
+  is adjacent iff no third ray is active on all rows they share: for
+  their common set C, only the pair's own entries of C @ A.T reach |C|
+  (Fukuda & Prodon, *Double description method revisited*, 1996);
+* both products run in blocks of at most CHUNK_CELLS cells, which bounds
+  the temporaries of a step whatever the ray count;
 * constraints are inserted in lexicographic order of their normalized rows,
   which makes the output independent of the input ordering.
 """
@@ -26,8 +30,40 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceeded
-from .linprog import coprime_integers, row_reduce, solution
+from .linprog import coprime_integers, coprime_rows, int_dtype, row_reduce, solution
+
+# Cells of the largest float32 block a step multiplies (0.5 MB).
+CHUNK_CELLS = 2 ** 17
+
+
+def _adjacent_pairs(act: np.ndarray, pos: np.ndarray, neg: np.ndarray, dim: int):
+    """Index arrays (ip, ineg) of the adjacent (positive, negative) pairs,
+    in row-major pair order; ``act`` is the active matrix of all rays."""
+    act_neg = act[neg]
+    block = max(1, CHUNK_CELLS // max(len(neg), act.shape[1]))
+    cand_p, cand_n = [pos[:0]], [neg[:0]]
+    for i in range(0, len(pos), block):
+        p, n = np.nonzero(act[pos[i:i + block]] @ act_neg.T >= dim - 2)
+        cand_p.append(pos[i + p])
+        cand_n.append(neg[n])
+    cand_p, cand_n = np.concatenate(cand_p), np.concatenate(cand_n)
+    # Row r of common @ act.T counts, per ray, the rows of C it is active
+    # on; with the pair's own entries set to -1, the pair is adjacent iff
+    # no entry reaches |C|.
+    act_t = np.ascontiguousarray(act.T)
+    adjacent = np.zeros(len(cand_p), dtype=bool)
+    block = max(1, CHUNK_CELLS // max(*act.shape))
+    for i in range(0, len(cand_p), block):
+        cp, cn = cand_p[i:i + block], cand_n[i:i + block]
+        common = act[cp] * act[cn]
+        shared = common @ act_t
+        rows = np.arange(len(cp))
+        shared[rows, cp] = shared[rows, cn] = -1
+        adjacent[i:i + block] = shared.max(axis=1) < common.sum(axis=1)
+    return cand_p[adjacent], cand_n[adjacent]
 
 
 def extreme_rays(
@@ -38,8 +74,8 @@ def extreme_rays(
 
     The rows must positively span (i.e. the cone must be pointed) and
     contain ``dim`` linearly independent members.  Returns coprime integer
-    ray vectors in sorted order.  ``deadline`` is an absolute
-    time.monotonic() cap; exceeding it raises BudgetExceeded.
+    ray vectors (tuples of Python ints) in sorted order.  ``deadline`` is
+    an absolute time.monotonic() cap; exceeding it raises BudgetExceeded.
     """
     norm_rows = sorted(set(coprime_integers(r) for r in rows))
     dim = len(norm_rows[0]) if norm_rows else 0
@@ -55,77 +91,42 @@ def extreme_rays(
          for i, k in enumerate(base_idx)],
         dim,
     )
-    rays = [coprime_integers(solution(pivots, dim, dim + i)[0]) for i in range(dim)]
-    full_base_mask = (1 << dim) - 1
-    masks = [full_base_mask ^ (1 << i) for i in range(dim)]
+    rays = np.array(
+        [coprime_integers(solution(pivots, dim, dim + i)[0]) for i in range(dim)],
+        dtype=object,
+    )
     in_base = set(base_idx)
     order = base_idx + [i for i in range(len(norm_rows)) if i not in in_base]
+    # active[k, j] = 1 iff ray k is tight on the j-th inserted row.
+    active = np.zeros((dim, len(order)), dtype=np.float32)
+    active[:, :dim] = 1 - np.eye(dim, dtype=np.float32)
 
-    n_processed = dim
     for step in range(dim, len(order)):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("double description ran over its time budget")
         h = norm_rows[order[step]]
-        values = [sum(hi * ri for hi, ri in zip(h, ray)) for ray in rays]
-        pos = [i for i, v in enumerate(values) if v > 0]
-        neg = [i for i, v in enumerate(values) if v < 0]
-        zero = [i for i, v in enumerate(values) if v == 0]
-        bit = 1 << n_processed
-        if not neg:
-            for i in zero:
-                masks[i] |= bit
-            n_processed += 1
+        max_ray = int(np.abs(rays).max())
+        rays = rays.astype(int_dtype(max(map(abs, h)) * max_ray * dim), copy=False)
+        values = rays @ np.array(h, dtype=rays.dtype)
+        pos = np.flatnonzero(values > 0)
+        neg = np.flatnonzero(values < 0)
+        zero = np.flatnonzero(values == 0)
+        active[zero, step] = 1
+        if not len(neg):
             continue
 
-        # Inverted index: rays_on[j] is the set of rays (bitmask over ray
-        # indices) active on inserted row j.
-        rays_on = [0] * n_processed
-        for k, m in enumerate(masks):
-            ray_bit = 1 << k
-            while m:
-                low = m & -m
-                rays_on[low.bit_length() - 1] |= ray_bit
-                m ^= low
-        all_rays = (1 << len(rays)) - 1
-        new_rays: List[Tuple[int, ...]] = []
-        new_masks: List[int] = []
-        min_common = dim - 2
-        for ip in pos:
-            mp = masks[ip]
-            vp = values[ip]
-            rp = rays[ip]
-            for ineg in neg:
-                common = mp & masks[ineg]
-                if common.bit_count() < min_common:
-                    continue
-                # Combinatorial adjacency: no third ray's active set
-                # contains the common active set, i.e. the rays active on
-                # every row of it are exactly this pair.
-                pair = (1 << ip) | (1 << ineg)
-                shared = all_rays
-                c = common
-                while c and shared != pair:
-                    low = c & -c
-                    shared &= rays_on[low.bit_length() - 1]
-                    c ^= low
-                if shared != pair:
-                    continue
-                vn = values[ineg]
-                rn = rays[ineg]
-                vec = coprime_integers([vp * b - vn * a for a, b in zip(rp, rn)])
-                new_rays.append(vec)
-                new_masks.append((common | bit))
+        ip, ineg = _adjacent_pairs(active[:, :step], pos, neg, dim)
+        dtype = int_dtype(2 * int(np.abs(values).max()) * max_ray)
+        vp = values[ip, None].astype(dtype)
+        vn = values[ineg, None].astype(dtype)
+        new_rays = coprime_rows(vp * rays[ineg].astype(dtype) - vn * rays[ip])
+        new_active = active[ip] * active[ineg]
+        new_active[:, step] = 1
+        keep = np.concatenate([pos, zero])
+        rays = np.concatenate([rays[keep].astype(dtype), new_rays])
+        active = np.concatenate([active[keep], new_active])
 
-        keep_rays = [rays[i] for i in pos]
-        keep_masks = [masks[i] for i in pos]
-        for i in zero:
-            keep_rays.append(rays[i])
-            keep_masks.append(masks[i] | bit)
-        rays = keep_rays + new_rays
-        masks = keep_masks + new_masks
-        n_processed += 1
-
-    return sorted(rays)
+    return sorted(map(tuple, rays.tolist()))
 
 
 def facets_of_polytope(

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .core import (
     CGVector,
     CHSH,
@@ -38,7 +40,7 @@ from .core import (
     to_full,
 )
 from .errors import DimensionMismatch, IdentityFailed
-from .linprog import coprime_integers
+from .linprog import coprime_integers, coprime_rows, int_dtype
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -464,39 +466,43 @@ def _transposition_perms(
 def _orbit_keys(
     ineq: Inequality, fix_no_detection: bool, include_party_swap: Optional[bool]
 ) -> dict:
-    """Map from canonical key to one full-tensor witness, for the whole orbit."""
+    """Map from canonical key to one full-tensor witness, for the whole orbit.
+
+    Breadth-first over the generators, one level at a time: the frontier's
+    full-table functionals F are permuted by every generator at once
+    (F[:, perms]) and keyed by one integer product with the
+    `_cg_basis_tables`.  The product runs in int64 when
+    max|w| * max|table| * len(w) + |rhs| < 2**62 (a relabeling keeps
+    max|w|), otherwise in Python ints.  Keys are visited in (functional,
+    generator) order, so each key keeps its first-found witness and the
+    dict's order is that of the one-at-a-time search.
+    """
     s = ineq.scenario
     if include_party_swap is None:
         include_party_swap = s.mA == s.mB and s.kA == s.kB
-    perms = _transposition_perms(s, fix_no_detection, include_party_swap)
     t0, basis = _cg_basis_tables(s)
 
     key0 = ineq.key()
     rhs0 = key0[-1]
-    seed = inequality_from_key(s, key0)
-    w0, _ = functional_to_full(seed)
+    w0, _ = functional_to_full(inequality_from_key(s, key0))
     w0 = tuple(int(c) for c in w0)
+    perms = _transposition_perms(s, fix_no_detection, include_party_swap)
+    perms = np.array(perms, dtype=np.intp).reshape(-1, len(w0))
+    tables = np.array((t0, *basis)).T
+    bound = max(map(abs, w0)) * int(np.abs(tables).max()) * len(w0) + abs(rhs0)
+    tables = tables.astype(int_dtype(bound))
 
-    # Nonzero (index, value) pairs of each table, so a key sums only those.
-    sparse = [[(i, t) for i, t in enumerate(table) if t] for table in (t0, *basis)]
-
-    def cg_key(w: tuple) -> tuple:
-        off, *coeffs = [sum(w[i] * t for i, t in table) for table in sparse]
-        coeffs.append(rhs0 - off)
-        return coprime_integers(coeffs)
-
-    seen = {cg_key(w0): w0}
-    frontier = [w0]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for perm in perms:
-                w2 = tuple(w[perm[i]] for i in range(len(perm)))
-                k2 = cg_key(w2)
-                if k2 not in seen:
-                    seen[k2] = w2
-                    nxt.append(w2)
-        frontier = nxt
+    seen = {}
+    level = np.array([w0], dtype=tables.dtype)
+    while len(level):
+        values = level @ tables
+        keys = coprime_rows(np.column_stack([values[:, 1:], rhs0 - values[:, 0]]))
+        fresh = []
+        for i, k in enumerate(map(tuple, keys.tolist())):
+            if k not in seen:
+                seen[k] = tuple(level[i].tolist())
+                fresh.append(i)
+        level = level[fresh][:, perms].reshape(-1, len(w0))
     return seen
 
 

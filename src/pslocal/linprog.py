@@ -7,7 +7,8 @@ package's one Gaussian elimination, fraction-free: affine ranks, the base
 and initial cone of the double description method and the exact
 re-solves of the float guides all go through it.  `coprime_integers` is
 the one normalizer of rational vectors to coprime integers (DD rays and
-canonical inequality keys).
+canonical inequality keys); `coprime_rows` is its array form, for the
+integer matrices of the double description and the orbit search.
 
 `solve_lp` is the one exact LP entry point: min c.x s.t. Ax = b, x >= 0,
 over a matrix scaled to integers row by row once (`exact_matrix`).
@@ -240,6 +241,19 @@ def coprime_integers(values: Sequence) -> Tuple[int, ...]:
     return tuple(ints)
 
 
+def int_dtype(bound: int):
+    """dtype of an exact integer matrix product whose partial sums are at
+    most ``bound`` in absolute value: np.int64 below 2**62, else object
+    (Python ints), so that the same code runs exactly either way."""
+    return np.int64 if bound < 2 ** 62 else object
+
+
+def coprime_rows(M: np.ndarray) -> np.ndarray:
+    """The array form of `coprime_integers` for integer rows: each row of
+    M divided by the gcd of its entries (a zero row stays zero)."""
+    return M // np.maximum(np.gcd.reduce(M, axis=1, initial=0), 1)[:, None]
+
+
 def row_reduce(rows: Sequence[Sequence], n: int) -> Tuple[List[int], List[tuple]]:
     """Forward elimination over the integers (gcd-reduced, fraction-free).
 
@@ -331,6 +345,15 @@ def exact_matrix(A) -> ExactMatrix:
         scale.append(denom)
     dense = np.array(rows, dtype=float) / np.array(scale, dtype=float)[:, None]
     return ExactMatrix(tuple(rows), tuple(scale), tuple(zip(*rows)), dense)
+
+
+def with_rows(M: ExactMatrix, A) -> ExactMatrix:
+    """`ExactMatrix` of M's rows followed by those of A, scaling only A's."""
+    extra = exact_matrix(A)
+    rows = M.rows + extra.rows
+    return ExactMatrix(
+        rows, M.scale + extra.scale, tuple(zip(*rows)), np.vstack([M.dense, extra.dense])
+    )
 
 
 def _scaled(M: ExactMatrix, b: Sequence) -> list:

@@ -46,6 +46,7 @@ from .linprog import (
     common_denominator,
     coprime_integers,
     exact_matrix,
+    int_dtype,
     maximize_over_hrep,
     row_reduce,
     solve_lp,
@@ -299,8 +300,7 @@ def is_trivial_for_ns(ineq: Inequality) -> bool:
     key = ineq.key()
     # w . (r0, r) = r0 * (coeffs . v - rhs) for the vertex v = r / r0.
     w = (-key[-1],) + key[:-1]
-    exact_in_int64 = max(abs(c) for c in w) * ns.max_entry * len(w) < 2 ** 62
-    dtype = np.int64 if exact_in_int64 else object
+    dtype = int_dtype(max(abs(c) for c in w) * ns.max_entry * len(w))
     values = ns.matrix.astype(dtype, copy=False) @ np.array(w, dtype=dtype)
     best = int(np.argmax(values))
     if values[best] <= 0:

@@ -57,7 +57,7 @@ from .inequalities import (
     orbit_key_set,
     thresholds,
 )
-from .linprog import INFEASIBLE, OPTIMAL, solve_lp
+from .linprog import INFEASIBLE, OPTIMAL, exact_matrix, solve_lp, with_rows
 from .polytope import (
     affine_rank,
     enumerate_facets,
@@ -586,9 +586,12 @@ class _PsProgram:
         self.eff = eff
         # Each vertex is a 0/1 table: its flat unit cells are all an LP needs.
         self.vertices = [v.cells() for v in enumerate_vertices(s0)]
-        self.base_rows = [((ONE,) * len(self.vertices), ONE)] + [
+        rows = [((ONE,) * len(self.vertices), ONE)] + [
             (self._vertex_values(w), rhs) for w, rhs in _ps_constraint_rows(s0, eff)
         ]
+        # The base rows, scaled to integers once for every LP of this program.
+        self.base = exact_matrix([row for row, _ in rows])
+        self.base_rhs = [rhs for _, rhs in rows]
 
     def _vertex_values(self, w: Sequence) -> tuple:
         """The full-table functional w evaluated at every vertex."""
@@ -613,13 +616,12 @@ class _PsProgram:
     def maximize(self, ineq: Inequality, face_of: Optional[Inequality] = None):
         """Exact max of the functional over L_ps, optionally restricted to
         the face where ``face_of`` is tight.  Returns (value, pps point)."""
-        rows = list(self.base_rows)
+        A, bvec = self.base, self.base_rhs
         if face_of is not None:
             frow, fconst = self.objective_row(face_of)
-            rows.append((frow, face_of.bound - fconst))
+            A = with_rows(A, [frow])
+            bvec = bvec + [face_of.bound - fconst]
         obj, const = self.objective_row(ineq)
-        A = [list(r) for r, _ in rows]
-        bvec = [rhs for _, rhs in rows]
         res = solve_lp(A, bvec, [-c for c in obj])
         if res.status == INFEASIBLE:
             return None, None

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from pslocal.dd import extreme_rays, facets_of_polytope
 from pslocal.errors import BudgetExceeded
+from pslocal.inequalities import THREE_INPUT_L0
+from pslocal.polytope import local_polytope
 
 F = Fraction
 
@@ -82,6 +85,21 @@ def test_budget_is_enforced():
         facets_of_polytope(vertices, deadline=time.monotonic() - 1)
 
 
+def test_memory_stays_bounded():
+    # numpy reports its buffers to tracemalloc; the blocked products keep
+    # a step's temporaries to a few MB on the 72-vertex polytope (1260
+    # facets, up to about 2300 intermediate rays).
+    rows = [(1,) + tuple(v.coords) for v in local_polytope(THREE_INPUT_L0).vertices]
+    tracemalloc.start()
+    try:
+        rays = extreme_rays(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rays) == 1260
+    assert peak < 8 * 2 ** 20
+
+
 def test_rank_deficiency_rejected():
     with pytest.raises(ValueError):
         extreme_rays([(1, 0), (2, 0)])
@@ -143,22 +161,34 @@ def _full_dimensional(points):
 
 
 @st.composite
-def point_sets(draw):
+def point_sets(draw, scales=st.just(1)):
     """At most 10 integer points spanning a full-dimensional polytope in
     dimension 1 to 4; dimension 1 gives a cone of dimension 2, whose
-    adjacent rays share no active row."""
+    adjacent rays share no active row.  Every coordinate is multiplied by
+    a scale drawn from ``scales``: around 2**30 the double description
+    switches between int64 and Python ints from step to step, and at
+    2**40 and above it runs in Python ints throughout."""
     d = draw(st.integers(1, 4))
     # A small coordinate range puts many points on common faces.
     size = draw(st.integers(1, 3))
-    point = st.tuples(*[st.integers(-size, size)] * d)
+    scale = draw(scales)
+    point = st.tuples(*[st.integers(-size, size).map(lambda c: c * scale)] * d)
     return draw(st.lists(point, min_size=d + 1, max_size=10).filter(_full_dimensional))
 
 
+_DEGENERATE = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1),
+               (0, 1, 0, -1), (-1, 0, 0, -1), (-1, 0, 1, -1), (-1, 0, -1, -1)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(point_sets())
-# Degenerate: a pair of rays passes the popcount prefilter without being
+@given(point_sets(scales=st.sampled_from([1, 2 ** 30 + 3, 2 ** 40 + 1])))
+# Degenerate: a pair of rays passes the prefilter without being
 # adjacent, so dropping the adjacency test adds a redundant facet.
-@example([(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1),
-          (0, 1, 0, -1), (-1, 0, 0, -1), (-1, 0, 1, -1), (-1, 0, -1, -1)])
+@example(_DEGENERATE)
+@example([tuple(c * (2 ** 61 + 1) for c in p) for p in _DEGENERATE])
+@example([(0, 0), (2 ** 41, 1), (3, 2 ** 40 + 7), (-(2 ** 45), 5 ** 20)])
 def test_facets_match_brute_force(points):
-    assert facets_of_polytope(points) == _brute_force_facets(points)
+    facets = facets_of_polytope(points)
+    assert facets == _brute_force_facets(points)
+    # Python ints, not numpy scalars: JSON output and digests rely on it.
+    assert all(type(v) is int for coeffs, rhs in facets for v in coeffs + (rhs,))

@@ -5,7 +5,11 @@ import pytest
 from pslocal.core import CHSH, Efficiencies, named_correlation, to_cg
 from pslocal.errors import DimensionMismatch
 from pslocal.inequalities import (
+    THREE_INPUT_L0,
     Inequality,
+    _cg_basis_tables,
+    _orbit_keys,
+    _transposition_perms,
     canonical_form,
     ch,
     ch_eta,
@@ -22,7 +26,9 @@ from pslocal.inequalities import (
     symmetry_orbit,
     thresholds,
 )
-from pslocal.polytope import enumerate_vertices
+from pslocal.linprog import coprime_integers
+from pslocal.polytope import enumerate_facets, enumerate_vertices, local_polytope
+from pslocal.psfacets import _orbit_census
 
 from conftest import random_local_table
 
@@ -155,6 +161,62 @@ class TestSymmetries:
         q = to_cg(t)
         for member in symmetry_orbit(ch()):
             assert member.satisfied_by(q)
+
+
+def _reference_orbit_keys(ineq, fix_no_detection, include_party_swap):
+    """The orbit search one functional and one generator at a time, in
+    Python ints: the reference for the batched `_orbit_keys`."""
+    s = ineq.scenario
+    if include_party_swap is None:
+        include_party_swap = s.mA == s.mB and s.kA == s.kB
+    perms = _transposition_perms(s, fix_no_detection, include_party_swap)
+    t0, basis = _cg_basis_tables(s)
+    key0 = ineq.key()
+    w0, _ = functional_to_full(inequality_from_key(s, key0))
+    w0 = tuple(int(c) for c in w0)
+
+    sparse = [[(i, t) for i, t in enumerate(table) if t] for table in (t0, *basis)]
+
+    def cg_key(w):
+        off, *coeffs = [sum(w[i] * t for i, t in table) for table in sparse]
+        return coprime_integers(coeffs + [key0[-1] - off])
+
+    seen = {cg_key(w0): w0}
+    frontier = [w0]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for perm in perms:
+                w2 = tuple(w[perm[i]] for i in range(len(perm)))
+                k2 = cg_key(w2)
+                if k2 not in seen:
+                    seen[k2] = w2
+                    nxt.append(w2)
+        frontier = nxt
+    return seen
+
+
+@pytest.fixture(scope="module")
+def a_priori_representatives():
+    """One facet per relabeling orbit of both a-priori polytopes."""
+    return [
+        orbit["representative"]
+        for s in (CHSH.with_no_detection(), THREE_INPUT_L0)
+        for orbit in _orbit_census(enumerate_facets(local_polytope(s)))
+    ]
+
+
+@pytest.mark.parametrize("fix_no_detection", [False, True])
+@pytest.mark.parametrize("include_party_swap", [None, False])
+def test_batched_orbit_search_matches_reference(
+    a_priori_representatives, fix_no_detection, include_party_swap
+):
+    # Same keys, same first-found witnesses, same insertion order.
+    for rep in a_priori_representatives + [ch(), i3223_1_eta(F(4, 5))]:
+        got = _orbit_keys(rep, fix_no_detection, include_party_swap)
+        want = _reference_orbit_keys(rep, fix_no_detection, include_party_swap)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is int for k, w in got.items() for v in k + w)
 
 
 class TestThresholds:
