@@ -44,6 +44,10 @@ def rational(value: RationalLike) -> Fraction:
     Floats are rejected on purpose: converting binary floats silently would
     defeat the exactness guarantees of this module.
     """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:  # exact type: a bool must still raise below
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -289,6 +293,11 @@ def to_cg(t: JointTable) -> CGVector:
     """Collins-Gisin coordinates of a no-signaling table (exact)."""
     if not is_nonsignaling(t):
         raise SignalingInput("table is signaling; CG coordinates undefined")
+    return _cg_coords(t)
+
+
+def _cg_coords(t: JointTable) -> CGVector:
+    """`to_cg` of a table already known to be no-signaling."""
     s = t.scenario
     coords = []
     for x in range(s.mA):

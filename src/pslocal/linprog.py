@@ -13,16 +13,16 @@ integer matrices of the double description and the orbit search.
 `solve_lp` is the one exact LP entry point: min c.x s.t. Ax = b, x >= 0,
 over a matrix scaled to integers row by row once (`exact_matrix`).
 Floating point guides it ("float guides, rationals certify"; Applegate,
-Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).  HiGHS picks the
-support of an optimal x and the columns of zero reduced cost, or the
-active set of a separating vector; an exact re-solve of that choice gives
-a candidate, and `certify` checks it: x and the dual y, a Farkas vector,
-or an unbounded ray.  The float answer decides nothing.  When no
-candidate passes, `solve_equality_form` decides: a dense two-phase tableau
-simplex over `fractions.Fraction` whose answers carry the same exact
-certificates.  Bland's rule guarantees termination; problems here are
-small (at most a few hundred columns).  `maximize_over_hrep` solves
-max c.x over {x : Rx <= r} as its dual, min r.y s.t. R^T y = c, y >= 0.
+Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).  Lawson-Hanson NNLS
+alone guides a feasibility LP (c = 0, e.g. membership): its passive set
+is the support of a point, its exact least-squares residual a Farkas
+vector.  Other LPs try HiGHS first, for the support of an optimal x and
+the columns of zero reduced cost.  `certify` checks each exact candidate
+(x and the dual y, a Farkas vector, or an unbounded ray); when none
+passes, `solve_equality_form` decides: a dense two-phase tableau simplex
+over `fractions.Fraction` (Bland's rule; at most a few hundred columns
+here) whose answers carry the same certificates.  `maximize_over_hrep`
+solves max c.x over {x : Rx <= r} as its dual, min r.y, R^T y = c, y >= 0.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog as highs
+from scipy.optimize import nnls
 
 from .errors import CertificateInvalid, Infeasible, Unbounded
 
@@ -45,9 +46,12 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 # Float thresholds of the guides.  They only choose which columns or
-# constraints the exact re-solve uses; no verdict rests on them.
+# constraints the exact re-solve uses; no verdict rests on them.  NNLS
+# leaves noise of 1e-34..1e-17 in passive weights whose exact value is
+# zero, beside true weights as small as 4e-10 (PASSIVE_TOL).
 SUPPORT_TOL = 1e-9
 ACTIVE_TOL = 1e-6
+PASSIVE_TOL = 1e-12
 
 
 @dataclass
@@ -370,27 +374,18 @@ def _float_optimum(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[tupl
     return res.x, res.eqlin.marginals
 
 
-def _float_farkas(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """HiGHS dual simplex on the boxed separation LP
-    max y.b s.t. y.A_j <= 0 for every column j, -1 <= y_i <= 1:
-    its optimal vertex y, or None when it finds none."""
-    res = highs(
-        -b, A_ub=A.T, b_ub=np.zeros(A.shape[1]), bounds=(-1, 1), method="highs-ds"
-    )
-    if res.status != 0:
-        return None
-    return res.x
-
-
 def _unit(i: int, m: int) -> list:
     return [1 if k == i else 0 for k in range(m)]
 
 
-def _solve_active(active: list, m: int) -> List[Fraction]:
-    """Exact y in m unknowns from (float slack, row, rhs) constraints
-    row.y = rhs: those with slack within ACTIVE_TOL, tightest first."""
-    active = sorted((a for a in active if a[0] <= ACTIVE_TOL), key=lambda a: a[0])
-    return solve_exact_system([a[1] for a in active], [a[2] for a in active], m)
+def _resolve_on(M: ExactMatrix, rhs: list, support: list) -> list:
+    """x with rows.x = rhs re-solved exactly on the support columns and
+    zero elsewhere (`certify` checks x >= 0 and the rows not kept)."""
+    x = [ZERO] * len(M.cols)
+    sol = solve_exact_system([[row[j] for j in support] for row in M.rows], rhs, len(support))
+    for j, v in zip(support, sol):
+        x[j] = v
+    return x
 
 
 def _guided_point(A, b, c) -> Optional[LPResult]:
@@ -407,46 +402,48 @@ def _guided_point(A, b, c) -> Optional[LPResult]:
     if guide is None:
         return None
     xf, yf = guide
-    m, n = M.dense.shape
-    support = [j for j, v in enumerate(xf) if v > SUPPORT_TOL]
-    on_support = [[row[j] for j in support] for row in M.rows]
-    sol = solve_exact_system(on_support, _scaled(M, b), len(support))
-    x = [ZERO] * n
-    for j, v in zip(support, sol):
-        x[j] = v
-    y = [ZERO] * m
-    if cf.any():
-        # Solved for y / scale on the integer rows (see ExactMatrix).
-        y = _solve_active(
-            [(s, M.cols[j], c[j]) for j, s in enumerate(np.abs(cf - yf @ M.dense))]
-            + [(abs(yi), _unit(i, m), 0) for i, yi in enumerate(yf)],
-            m,
-        )
-        y = _scaled(M, y)
+    m = len(M.rows)
+    x = _resolve_on(M, _scaled(M, b), [j for j, v in enumerate(xf) if v > SUPPORT_TOL])
+    # Constraints (float slack, row, rhs) of y / scale on the integer rows
+    # (see ExactMatrix): those within ACTIVE_TOL, tightest first.
+    active = sorted(
+        (a for a in [(s, M.cols[j], c[j]) for j, s in enumerate(np.abs(cf - yf @ M.dense))]
+         + [(abs(yi), _unit(i, m), 0) for i, yi in enumerate(yf)] if a[0] <= ACTIVE_TOL),
+        key=lambda a: a[0],
+    )
+    y = solve_exact_system([a[1] for a in active], [a[2] for a in active], m)
     objective = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
-    return LPResult(status=OPTIMAL, x=x, objective=objective, dual=y)
+    return LPResult(status=OPTIMAL, x=x, objective=objective, dual=_scaled(M, y))
 
 
-def _guided_farkas(A, b, c) -> Optional[LPResult]:
-    """Exact candidate Farkas vector y (y.A <= 0 < y.b), or None.
+def _guided_nnls(A, b, c) -> Optional[LPResult]:
+    """Exact candidate from non-negative least squares, or None.
 
-    HiGHS solves the boxed separation LP (see `_float_farkas`); y is then
-    re-solved exactly from the constraints active at the float optimum:
-    columns with y.A_j = 0 and bounds y_i = +-1.
+    Lawson-Hanson NNLS on min |Rx - b'|, x >= 0 over the integer rows R
+    (b' = b times the row scales) picks a passive set P.  A zero residual
+    suggests that Ax = b is feasible: with c = 0 any feasible x is optimal
+    with y = 0, and x is re-solved exactly on P.  Otherwise the exact
+    least-squares residual r = b' - R_P lambda, from the integer normal
+    equations on P, has r.R_P = 0 and r.b' = |r|^2 > 0; scaled back to A's
+    rows it is the Farkas candidate (`certify` checks r.R <= 0).
     """
     M = exact_matrix(A)
-    y = _float_farkas(M.dense, np.array(b, dtype=float))
-    if y is None:
+    rhs = _scaled(M, b)
+    try:
+        xf, rnorm = nnls(M.dense * np.array(M.scale, float)[:, None], np.array(rhs, float))
+    except RuntimeError:  # iteration limit
         return None
-    m = len(M.rows)
-    # Solved for y / scale on the integer rows, as in `_guided_point`.
-    bounds = [Fraction(1 if yi > 0 else -1, s) for yi, s in zip(y, M.scale)]
-    farkas = _solve_active(
-        [(abs(s), M.cols[j], 0) for j, s in enumerate(y @ M.dense)]
-        + [(1 - abs(yi), _unit(i, m), bounds[i]) for i, yi in enumerate(y)],
-        m,
-    )
-    return LPResult(status=INFEASIBLE, farkas=_scaled(M, farkas))
+    P = [j for j, v in enumerate(xf) if v > PASSIVE_TOL]
+    if rnorm <= SUPPORT_TOL:
+        zero = [ZERO] * len(M.rows)
+        return None if any(c) else LPResult(OPTIMAL, _resolve_on(M, rhs, P), ZERO, zero)
+    B = np.array(common_denominator(rhs)[0], dtype=object)
+    R = np.array([M.cols[j] for j in P], dtype=object).reshape(len(P), len(B))
+    _, pivots = row_reduce(np.column_stack([R @ R.T, R @ B]).tolist(), len(P))
+    lam, den = solution(pivots, len(P), len(P))
+    r = B * den - np.array(lam, dtype=object) @ R
+    farkas = coprime_integers([s * v for s, v in zip(M.scale, r.tolist())])
+    return LPResult(status=INFEASIBLE, farkas=list(farkas))
 
 
 def certify(A, b, c, result: LPResult) -> None:
@@ -509,14 +506,14 @@ def certify(A, b, c, result: LPResult) -> None:
 def solve_lp(A, b, c) -> LPResult:
     """min c.x s.t. Ax = b, x >= 0, exactly, with a checked certificate.
 
-    Floating point guides: `_guided_point`, then `_guided_farkas`, propose
-    an exact answer; the first that passes `certify` is returned.  When
-    neither does, `solve_equality_form` decides.  Every returned result
-    has passed `certify`, which raises CertificateInvalid (also under
-    ``python -O``).
+    Floating point guides propose exact answers: `_guided_nnls` alone when
+    c = 0 (feasibility), else `_guided_point` and then `_guided_nnls`; the
+    first that passes `certify` is returned.  When none does,
+    `solve_equality_form` decides.  Every returned result has passed
+    `certify`, which raises CertificateInvalid (also under ``python -O``).
     """
     M = exact_matrix(A)
-    for guide in (_guided_point, _guided_farkas):
+    for guide in (_guided_point, _guided_nnls) if any(c) else (_guided_nnls,):
         result = guide(M, b, c)
         if result is None:
             continue

@@ -3,11 +3,11 @@ certificates, facet enumeration, and the post-selected membership oracle.
 
 Vertices of a local polytope are deterministic strategy pairs; membership
 is decided over the vertex list, returning either an explicit convex
-combination or a separating inequality (Farkas dual).  That LP, and the
-H-rep maximum `lp_max`, go through `linprog.solve_lp`: HiGHS guides, an
-exact integer re-solve and check certify, and the exact simplex decides
-when the guide fails.  The membership matrix (integer and float) is
-built once per polytope.  NS-triviality is not an LP: the vertices of a
+combination or a separating inequality (Farkas dual).  That LP (guided
+by NNLS alone) and the H-rep maximum `lp_max` (HiGHS first) go through
+`linprog.solve_lp`: an exact integer re-solve and check certify, and the
+exact simplex decides when the guides fail.  The membership matrix
+(integer and float) is built once per polytope.  NS-triviality is not an LP: the vertices of a
 scenario's non-signaling polytope are enumerated once, by double
 description, and each check is one exact integer product against them.
 Facet enumeration goes through the double description method; facet
@@ -31,6 +31,7 @@ from .core import (
     Efficiencies,
     JointTable,
     Scenario,
+    _cg_coords,
     flat_index,
     flat_size,
     lift,
@@ -168,9 +169,9 @@ def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
     """Exact test for q in conv(vertices of poly).
 
     The feasibility LP (weights >= 0 reconstructing q and summing to 1)
-    over the polytope's cached `lp_matrix` goes through `solve_lp`, so its
-    answer has passed the exact check there: weights, or a Farkas vector
-    that becomes the separator.
+    over the polytope's cached `lp_matrix` goes through `solve_lp` (NNLS
+    guides it), so its answer has passed the exact check there: weights,
+    or a Farkas vector (a least-squares residual) that becomes the separator.
     """
     A = poly.lp_matrix
     if q.scenario != poly.scenario:
@@ -189,9 +190,10 @@ def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
 def is_ps_local(pps: JointTable, eff: Efficiencies) -> MembershipCertificate:
     """Can pps be explained by a local a-priori model with these
     efficiencies?  Tests membership of the lifted table in the local
-    a-priori polytope; the certificate lives in its coordinates."""
+    a-priori polytope; the certificate lives in its coordinates.  `lift`
+    rejects a signaling pps and its output is no-signaling: no 2nd check."""
     p0 = lift(pps, eff)
-    return membership(to_cg(p0), local_polytope(p0.scenario))
+    return membership(_cg_coords(p0), local_polytope(p0.scenario))
 
 
 def enumerate_facets(

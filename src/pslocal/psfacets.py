@@ -688,12 +688,14 @@ def ps_facet_check(eff: Efficiencies, ineq: Inequality) -> dict:
     p0 = to_cg(base_point).coords
     directions: List[list] = []  # orthogonal basis of the face's affine hull
     normals: List[list] = []  # orthogonal set of proven face normals
-    for i in range(dim):
-        cand = [ZERO] * dim
-        cand[i] = ONE
-        cand = _orthogonalize(cand, directions + normals)
-        if all(v == 0 for v in cand):
-            continue
+    while len(directions) + len(normals) < dim:  # next: first e_i off their span
+        for i in range(dim):
+            unit = [ONE if k == i else ZERO for k in range(dim)]
+            cand = _orthogonalize(unit, directions + normals)
+            if any(cand):
+                break
+        else:
+            raise CertificateInvalid("no unit vector outside the span of a short basis")
         probe = Inequality(sps, tuple(cand), ZERO, ZERO, "<=")
         hi, hi_pt = prog.maximize(probe, face_of=canon)
         neg = Inequality(sps, tuple(-v for v in cand), ZERO, ZERO, "<=")

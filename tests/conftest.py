@@ -63,6 +63,11 @@ def random_local_table(rng: random.Random, scenario: Scenario, n_strategies: int
     return mix_tables(tables, random_rationals(rng, n_strategies))
 
 
+def nnls_iteration_limit(A, b):
+    """Stand-in for `scipy.optimize.nnls` failing at its iteration limit."""
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
@@ -76,15 +81,21 @@ def chsh() -> Scenario:
 @pytest.fixture
 def wrong_guides(monkeypatch) -> list:
     """Float guides of `linprog.solve_lp` forced wrong: the optimum guide
-    proposes the first column alone with a zero dual, and the Farkas
-    guide the all-ones vector.  Returns the list of results of the exact
-    simplex that decides instead, appended as it is called."""
+    proposes the first column alone with a zero dual, and NNLS the first
+    column alone with its residual, so that its exact re-solve offers the
+    part of b orthogonal to that column as a Farkas vector.  Returns the
+    list of results of the exact simplex that decides instead, appended
+    as it is called."""
     monkeypatch.setattr(
         pslocal.linprog,
         "_float_optimum",
         lambda A, b, c: (np.eye(A.shape[1])[0], np.zeros(A.shape[0])),
     )
-    monkeypatch.setattr(pslocal.linprog, "_float_farkas", lambda A, b: np.ones(A.shape[0]))
+    monkeypatch.setattr(
+        pslocal.linprog,
+        "nnls",
+        lambda A, b: (np.eye(A.shape[1])[0], float(np.linalg.norm(A[:, 0] - b))),
+    )
     results = []
     exact = pslocal.linprog.solve_equality_form
 

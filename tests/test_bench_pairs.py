@@ -1,0 +1,39 @@
+import importlib.util
+import os
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = {"op_p50_ref_s": {"better": "lower", "bound": 0.25}}
+
+
+def _runs(parent, change):
+    return [
+        {side: {"failed": 0, "metrics": {"membership": {"op_p50_ref_s": v}}}
+         for side, v in (("parent", p), ("change", c))}
+        for p, c in zip(parent, change)
+    ]
+
+
+def test_summary_counts_wins_and_gain():
+    runs = _runs([6, 5, 6, 7, 6], [3, 3, 6, 2, 3])
+    entry = bench_pairs.summarize(runs, SPEC)["membership"]["op_p50_ref_s"]
+    assert entry["change_wins"] == 4  # the tie counts for neither side
+    assert entry["parent"] == {"median": 6, "q1": 6, "q3": 6}
+    assert not entry["gain"]  # 4 of 5 pairs is below nine tenths
+    assert entry["within_bound"]
+
+
+@pytest.mark.parametrize("change, gain, within", [
+    ([3, 3, 3, 3], True, True),
+    ([7.4, 7.4, 7.4, 7.4], False, True),
+    ([8, 8, 8, 8], False, False),
+])
+def test_gain_and_bound_follow_the_medians(change, gain, within):
+    entry = bench_pairs.summarize(_runs([6, 5, 6, 7], change), SPEC)["membership"]["op_p50_ref_s"]
+    assert entry["gain"] == gain and entry["within_bound"] == within

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pslocal.core import (
@@ -36,8 +37,12 @@ def test_rational_parsing():
     assert rational("2/3") == Fraction(2, 3)
     assert rational("0.7") == Fraction(7, 10)
     assert rational(3) == 3
-    with pytest.raises(TypeError):
-        rational(0.5)
+    assert rational(Fraction(4, 6)) == Fraction(2, 3)
+    assert type(rational(3)) is Fraction
+    # bool is an int subclass; numpy scalars are neither int nor Fraction.
+    for value in (0.5, True, False, np.float64(0.5), np.int64(3)):
+        with pytest.raises(TypeError):
+            rational(value)
     with pytest.raises(ValueError, match="zero denominator"):
         rational("1/0")
 

@@ -14,7 +14,7 @@ from pslocal.linprog import (
     OPTIMAL,
     UNBOUNDED,
     LPResult,
-    _guided_farkas,
+    _guided_nnls,
     _guided_point,
     certify,
     coprime_integers,
@@ -131,7 +131,9 @@ def test_guided_point_is_exact():
 def test_guided_farkas_is_exact():
     A = [[1, 0], [1, 0]]
     b = [F(1), F(2)]
-    y = _guided_farkas(A, b, [0, 0]).farkas
+    res = _guided_nnls(A, b, [0, 0])
+    assert res.status == INFEASIBLE
+    y = res.farkas
     for j in range(2):
         assert sum(y[i] * A[i][j] for i in range(2)) <= 0
     assert sum(yi * bi for yi, bi in zip(y, b)) > 0
@@ -142,7 +144,8 @@ def lp_systems(draw):
     """A small exact LP (A, b, c) built to have the drawn status: b = A.x0
     for a drawn x0 >= 0 with a row bounding sum(x) (optimal), then two
     rows that contradict each other (infeasible) or a zero column of
-    negative cost (unbounded)."""
+    negative cost (unbounded).  A third of the optimal and infeasible
+    systems have c = 0, the feasibility LPs that NNLS alone guides."""
     status = draw(st.sampled_from([OPTIMAL, INFEASIBLE, UNBOUNDED]))
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
@@ -152,6 +155,8 @@ def lp_systems(draw):
     A = draw(st.lists(st.lists(a_entry, min_size=n, max_size=n), min_size=m, max_size=m))
     x0 = draw(st.lists(st.fractions(0, 3, max_denominator=4), min_size=n, max_size=n))
     c = draw(st.lists(entry, min_size=n, max_size=n))
+    if status != UNBOUNDED and draw(st.integers(0, 2)) == 0:
+        c = [0] * n
     A = A + [[1] * n]
     b = [sum((a * v for a, v in zip(row, x0)), F(0)) for row in A]
     if status == INFEASIBLE:

@@ -9,13 +9,14 @@ import pslocal.polytope
 from pslocal.core import (
     CHSH,
     Efficiencies,
+    JointTable,
     Scenario,
     lift,
     named_correlation,
     to_cg,
 )
 from pslocal.dd import facets_of_polytope
-from pslocal.errors import CertificateInvalid, DimensionMismatch, SizeLimit
+from pslocal.errors import CertificateInvalid, DimensionMismatch, SignalingInput, SizeLimit
 from pslocal.inequalities import (
     THREE_INPUT_L0,
     THREE_INPUT_PS,
@@ -38,8 +39,9 @@ from pslocal.polytope import (
     ns_hrep,
     verify_facet,
 )
+from pslocal.quantum import bell_state_setup, correlation, rationalize
 
-from conftest import random_local_table
+from conftest import nnls_iteration_limit, random_local_table
 
 F = Fraction
 
@@ -173,7 +175,7 @@ class TestMembershipFallback:
 
     def test_bad_exact_answer_raises(self, monkeypatch):
         monkeypatch.setattr(pslocal.linprog, "_float_optimum", lambda A, b, c: None)
-        monkeypatch.setattr(pslocal.linprog, "_float_farkas", lambda A, b: None)
+        monkeypatch.setattr(pslocal.linprog, "nnls", nnls_iteration_limit)
         monkeypatch.setattr(
             pslocal.linprog,
             "solve_equality_form",
@@ -181,6 +183,25 @@ class TestMembershipFallback:
         )
         with pytest.raises(CertificateInvalid):
             is_ps_local(named_correlation("PR"), Efficiencies.of(F(2, 3), F(2, 3)))
+
+
+    def test_membership_makes_no_highs_call(self, monkeypatch):
+        # Feasibility LPs are guided by NNLS alone, whose candidates pass.
+        def refuse(*args, **kwargs):
+            pytest.fail("membership reached HiGHS or the exact simplex")
+
+        monkeypatch.setattr(pslocal.linprog, "highs", refuse)
+        monkeypatch.setattr(pslocal.linprog, "solve_equality_form", refuse)
+        pr = named_correlation("PR")
+        assert is_ps_local(pr, Efficiencies.of(F(2, 3), F(2, 3))).inside
+        assert not is_ps_local(pr, Efficiencies.of(F(3, 4), F(3, 4))).inside
+        qubits = rationalize(correlation(bell_state_setup()), 10 ** 6)
+        assert not is_ps_local(qubits, Efficiencies.of(F(9, 10), F(9, 10))).inside
+
+    def test_signaling_table_raises(self):
+        p = [[[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[[1, 0], [0, 0]], [[1, 0], [0, 0]]]]
+        with pytest.raises(SignalingInput):
+            is_ps_local(JointTable(CHSH, p), Efficiencies.of(F(2, 3), F(2, 3)))
 
 
 class TestMembershipMatrix:

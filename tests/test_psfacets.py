@@ -8,8 +8,10 @@ import pslocal.psfacets
 from pslocal.core import CHSH, Efficiencies, is_nonsignaling, lift, to_cg
 from pslocal.errors import CertificateInvalid, InvalidSetup
 from pslocal.inequalities import (
+    THREE_INPUT_PS,
     ch,
     ch_eta,
+    ch_eta_3in,
     ch_eta_lower,
     cglmp,
     cglmp_eta,
@@ -31,7 +33,7 @@ from pslocal.psfacets import (
 )
 from pslocal.polytope import ns_hrep
 
-from conftest import random_local_table
+from conftest import nnls_iteration_limit, random_local_table
 
 F = Fraction
 
@@ -155,6 +157,14 @@ class TestPsFacetCheck:
         assert report["valid"] and not report["tight"]
         assert not report["is_facet"]
 
+    @pytest.mark.parametrize("etaB", [F(3, 5), F(13, 20), F(7, 10)])
+    def test_three_input_ch_is_facet_with_perfect_alice(self, etaB):
+        # A face direction that is not a unit vector leaves that unit
+        # vector half-explored; the affine-hull loop must come back to it.
+        report = ps_facet_check(Efficiencies.of(1, etaB), ch_eta_3in(etaB))
+        assert report["valid"] and report["is_facet"]
+        assert report["face_dim"] == THREE_INPUT_PS.cg_dim - 1
+
     def test_white_region_upper_bound_is_low_dimensional_face(self):
         report = ps_facet_check(WHITE, ch_eta(WHITE))
         assert report["valid"]
@@ -175,7 +185,7 @@ class TestPsFacetCheck:
         # An LP over the bounded L_ps cannot be unbounded; the status check
         # must hold under python -O too.
         monkeypatch.setattr(pslocal.linprog, "_float_optimum", lambda A, b, c: None)
-        monkeypatch.setattr(pslocal.linprog, "_float_farkas", lambda A, b: None)
+        monkeypatch.setattr(pslocal.linprog, "nnls", nnls_iteration_limit)
         monkeypatch.setattr(
             pslocal.linprog, "solve_equality_form", lambda A, b, c: LPResult(UNBOUNDED)
         )
