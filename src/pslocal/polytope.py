@@ -7,12 +7,12 @@ combination or a separating inequality (Farkas dual).  That LP (guided
 by NNLS alone) and the H-rep maximum `lp_max` (HiGHS first) go through
 `linprog.solve_lp`: an exact integer re-solve and check certify, and the
 exact simplex decides when the guides fail.  The membership matrix
-(integer and float) is built once per polytope.  NS-triviality is not an LP: the vertices of a
-scenario's non-signaling polytope are enumerated once, by double
-description, and each check is one exact integer product against them.
-Facet enumeration goes through the double description method; facet
-verification takes integer slacks from the coprime key.  Ranks and LPs
-come from the integer exact core in `linprog`.
+(integer and float) is built once per polytope.  NS-triviality is not
+an LP: the vertices of a scenario's non-signaling polytope are enumerated
+once, by double description, and each check is one exact integer product
+against them.  Facet enumeration goes through the double description
+method; facet verification takes integer slacks from the coprime key.
+Ranks and LPs come from the integer exact core in `linprog`.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def is_ps_local(pps: JointTable, eff: Efficiencies) -> MembershipCertificate:
     """Can pps be explained by a local a-priori model with these
     efficiencies?  Tests membership of the lifted table in the local
     a-priori polytope; the certificate lives in its coordinates.  `lift`
-    rejects a signaling pps and its output is no-signaling: no 2nd check."""
+    checks pps, and its output is no-signaling by construction."""
     p0 = lift(pps, eff)
     return membership(_cg_coords(p0), local_polytope(p0.scenario))
 

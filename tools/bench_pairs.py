@@ -1,14 +1,14 @@
 """Paired benchmark runs of two commits, written to one BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_11.json \\
-        --pairs 10 --seed 1 --seed 11
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_11.json --seed 1 --seed 11
 
 PARENT and CHANGE are git revisions of this repository.  Each is
 extracted with ``git archive`` into a temporary directory, and
 ``perfbench/run.py --workload all`` runs there unchanged, so each side
-measures its own sources with its own benchmark code.  For every seed the
-script runs PARENT and CHANGE in ``--pairs`` pairs, alternating which side
-runs first, and records every run.
+measures its own sources with its own benchmark code, for the
+``run_seconds`` that BENCHMARK.json fixes.  For every seed the script runs
+PARENT and CHANGE in ten pairs, alternating which side runs first, and
+records every run.
 
 The summary gives, per seed, each side's failed operations and, per
 workload and end-to-end metric, each side's median and quartiles over its
@@ -35,6 +35,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def extract(rev: str, dest: str) -> str:
@@ -79,7 +80,7 @@ def summarize(runs: list, spec: dict) -> dict:
     summary: dict = {"failed": {side: sum(r[side]["failed"] for r in runs) for side in SIDES}}
     for workload, metrics in runs[0]["parent"]["metrics"].items():
         for metric in metrics:
-            lower = spec.get(metric, {}).get("better", "lower") == "lower"
+            lower = spec[metric]["better"] == "lower"
             values = {side: [r[side]["metrics"][workload][metric] for r in runs] for side in SIDES}
             sign = 1 if lower else -1
             wins = sum(
@@ -93,9 +94,8 @@ def summarize(runs: list, spec: dict) -> dict:
                 "change_wins": wins,
                 "pairs": len(runs),
                 "gain": wins >= 0.9 * len(runs) and gain > parent["q3"] - parent["q1"],
+                "within_bound": -gain <= spec[metric]["bound"] * parent["median"],
             }
-            if metric in spec:
-                entry["within_bound"] = -gain <= spec[metric]["bound"] * parent["median"]
             summary.setdefault(workload, {})[metric] = entry
     return summary
 
@@ -105,15 +105,13 @@ def main() -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, action="append", required=True)
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs)")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = {m["name"]: m for m in json.load(f)["end_to_end"]}
+        benchmark = json.load(f)
+    spec = {m["name"]: m for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     work = tempfile.mkdtemp(prefix="bench_pairs_")
     try:
         trees = {side: os.path.join(work, side) for side in SIDES}
@@ -121,12 +119,12 @@ def main() -> int:
         runs, summary = {}, {}
         for seed in args.seed:
             runs[seed] = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], seed, args.seconds)
-                    print(f"seed {seed} pair {i + 1}/{args.pairs} {side}: "
+                    pair[side] = run_once(trees[side], seed, seconds)
+                    print(f"seed {seed} pair {i + 1}/{PAIRS} {side}: "
                           f"{pair[side]['failed']} failed", file=sys.stderr)
                 runs[seed].append(pair)
             summary[seed] = summarize(runs[seed], spec)
@@ -135,7 +133,7 @@ def main() -> int:
 
     report = {
         "command": "perfbench/run.py --workload all --trace 0",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "parent": revs["parent"],
         "change": revs["change"],
         "summary": summary,
