@@ -18,8 +18,12 @@ Implementation notes:
   that shares at least dim - 2 active rows (prefilter, A[pos] @ A[neg].T)
   is adjacent iff no third ray is active on all rows they share: for
   their common set C, only the pair's own entries of C @ A.T reach |C|
-  (Fukuda & Prodon, *Double description method revisited*, 1996);
-* both products run in blocks of at most CHUNK_CELLS cells, which bounds
+  (Fukuda & Prodon, *Double description method revisited*, 1996).  The
+  rays are tried likeliest blockers first (zero on the inserted row,
+  then most active rows), 32 at first and then in blocks as wide as the
+  surviving pairs allow; a pair is dropped at its first blocker and kept
+  once every ray is tried, so the test stays exact;
+* every product runs in blocks of at most CHUNK_CELLS cells, which bounds
   the temporaries of a step whatever the ray count;
 * constraints are inserted in lexicographic order of their normalized rows,
   which makes the output independent of the input ordering.
@@ -35,13 +39,16 @@ import numpy as np
 from .errors import BudgetExceeded
 from .linprog import coprime_integers, coprime_rows, int_dtype, row_reduce, solution
 
-# Cells of the largest float32 block a step multiplies (0.5 MB).
+# Cells of the largest float32 block a step multiplies (0.5 MB): the
+# prefilter's rows, the common sets of a candidate chunk and their counts
+# against one block of rays.
 CHUNK_CELLS = 2 ** 17
 
 
 def _adjacent_pairs(act: np.ndarray, pos: np.ndarray, neg: np.ndarray, dim: int):
     """Index arrays (ip, ineg) of the adjacent (positive, negative) pairs,
-    in row-major pair order; ``act`` is the active matrix of all rays."""
+    in row-major pair order; ``act`` is the active matrix of all rays, its
+    last column the inserted row (active only on the rays zero there)."""
     act_neg = act[neg]
     block = max(1, CHUNK_CELLS // max(len(neg), act.shape[1]))
     cand_p, cand_n = [pos[:0]], [neg[:0]]
@@ -50,19 +57,27 @@ def _adjacent_pairs(act: np.ndarray, pos: np.ndarray, neg: np.ndarray, dim: int)
         cand_p.append(pos[i + p])
         cand_n.append(neg[n])
     cand_p, cand_n = np.concatenate(cand_p), np.concatenate(cand_n)
-    # Row r of common @ act.T counts, per ray, the rows of C it is active
-    # on; with the pair's own entries set to -1, the pair is adjacent iff
-    # no entry reaches |C|.
-    act_t = np.ascontiguousarray(act.T)
+    # A block of rays drops a pair when more of them are active on all of
+    # C than the pair's own rays among them.
+    order = np.lexsort((-act.sum(axis=1), -act[:, -1]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
     adjacent = np.zeros(len(cand_p), dtype=bool)
-    block = max(1, CHUNK_CELLS // max(*act.shape))
+    block = max(1, CHUNK_CELLS // max(act.shape[1], 32))
     for i in range(0, len(cand_p), block):
-        cp, cn = cand_p[i:i + block], cand_n[i:i + block]
-        common = act[cp] * act[cn]
-        shared = common @ act_t
-        rows = np.arange(len(cp))
-        shared[rows, cp] = shared[rows, cn] = -1
-        adjacent[i:i + block] = shared.max(axis=1) < common.sum(axis=1)
+        live = np.arange(i, min(i + block, len(cand_p)))
+        common = act[cand_p[live]] * act[cand_n[live]]
+        size = common.sum(axis=1, keepdims=True)
+        start, width = 0, 32
+        while len(live) and start < len(order):
+            stop = start + width
+            reach = (common @ act[order[start:stop]].T >= size).sum(axis=1)
+            own = sum((start <= rank[c[live]]) & (rank[c[live]] < stop)
+                      for c in (cand_p, cand_n))
+            free = reach == own
+            live, common, size = live[free], common[free], size[free]
+            start, width = stop, CHUNK_CELLS // max(1, len(live))
+        adjacent[live] = True
     return cand_p[adjacent], cand_n[adjacent]
 
 
@@ -115,7 +130,7 @@ def extreme_rays(
         if not len(neg):
             continue
 
-        ip, ineg = _adjacent_pairs(active[:, :step], pos, neg, dim)
+        ip, ineg = _adjacent_pairs(active[:, :step + 1], pos, neg, dim)
         dtype = int_dtype(2 * int(np.abs(values).max()) * max_ray)
         vp = values[ip, None].astype(dtype)
         vn = values[ineg, None].astype(dtype)

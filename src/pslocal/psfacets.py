@@ -672,8 +672,9 @@ def ps_facet_check(eff: Efficiencies, ineq: Inequality) -> dict:
     Validity is an exact LP over the efficiency-constrained a-priori
     polytope.  The dimension of the tight face is computed exactly by the
     affine-hull algorithm: maintain orthogonal bases of the face
-    directions found so far and of the hyperplane normals proven so far;
-    each remaining direction is settled by one max/min LP pair.
+    directions found so far and of the hyperplane normals proven so far,
+    starting from the inequality's own normal; each remaining direction is
+    settled by one max/min LP pair.
     """
     canon = ineq.canonical_scaled()
     sps = canon.scenario
@@ -687,7 +688,9 @@ def ps_facet_check(eff: Efficiencies, ineq: Inequality) -> dict:
     dim = sps.cg_dim
     p0 = to_cg(base_point).coords
     directions: List[list] = []  # orthogonal basis of the face's affine hull
-    normals: List[list] = []  # orthogonal set of proven face normals
+    # Orthogonal set of proven face normals; the inequality's own
+    # coefficient vector is constant on the face, so it needs no LP.
+    normals: List[list] = [list(canon.coeffs)] if any(canon.coeffs) else []
     while len(directions) + len(normals) < dim:  # next: first e_i off their span
         for i in range(dim):
             unit = [ONE if k == i else ZERO for k in range(dim)]

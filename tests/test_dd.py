@@ -3,12 +3,16 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pslocal.dd import extreme_rays, facets_of_polytope
+import pslocal.dd
+from pslocal.dd import _adjacent_pairs, extreme_rays, facets_of_polytope
 from pslocal.errors import BudgetExceeded
 from pslocal.inequalities import THREE_INPUT_L0
 from pslocal.polytope import local_polytope
@@ -192,3 +196,58 @@ def test_facets_match_brute_force(points):
     assert facets == _brute_force_facets(points)
     # Python ints, not numpy scalars: JSON output and digests rely on it.
     assert all(type(v) is int for coeffs, rhs in facets for v in coeffs + (rhs,))
+
+
+def _all_rays_pairs(act, pos, neg, dim):
+    """The adjacency test against every ray at once: of the pairs sharing
+    at least dim - 2 active rows, those whose common set C no third ray
+    is active on (its row of C @ act.T, own entries set to -1, stays
+    below |C|)."""
+    p, n = np.nonzero(act[pos] @ act[neg].T >= dim - 2)
+    cp, cn = pos[p], neg[n]
+    common = act[cp] * act[cn]
+    shared = common @ act.T
+    rows = np.arange(len(cp))
+    shared[rows, cp] = shared[rows, cn] = -1
+    keep = shared.max(axis=1) < common.sum(axis=1)
+    return cp[keep], cn[keep]
+
+
+@st.composite
+def ray_splits(draw):
+    """A random 0/1 active matrix over a few rows and up to 70 rays, each
+    ray positive, negative or zero on the inserted row, which is the last
+    column (active exactly on the zero rays), and a cone dimension."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 70))
+    signs = draw(st.lists(st.sampled_from("+-0"), min_size=n, max_size=n))
+    masks = draw(st.lists(st.integers(0, 2 ** rows - 1), min_size=n, max_size=n))
+    act = np.array(
+        [[m >> j & 1 for j in range(rows)] + [s == "0"] for m, s in zip(masks, signs)],
+        dtype=np.float32,
+    )
+    signs = np.array(signs)
+    pos, neg = np.flatnonzero(signs == "+"), np.flatnonzero(signs == "-")
+    return act, pos, neg, draw(st.integers(2, rows + 3))
+
+
+def _late_blockers():
+    """33 zero rays active on the inserted row alone, then positive rays
+    a = {0, 1} and c = {0} and negative ray b = {0}: the pairs (a, b) and
+    (c, b) pass the first 32 rays and are blocked only later, by c and a."""
+    act = np.zeros((36, 3), dtype=np.float32)
+    act[:33, 2] = 1
+    act[33, :2] = act[34, 0] = act[35, 0] = 1
+    return act, np.array([33, 35]), np.array([34]), 3
+
+
+@settings(max_examples=200, deadline=None)
+# CHUNK_CELLS = 32 tests one candidate per chunk against blocks of 32 rays,
+# so with more than 32 rays a pair's own rays can sit in different blocks.
+@given(ray_splits(), st.sampled_from([32, 100, 2 ** 17]))
+@example(_late_blockers(), 32)
+def test_adjacency_matches_all_rays_test(split, chunk_cells):
+    with mock.patch.object(pslocal.dd, "CHUNK_CELLS", chunk_cells):
+        ip, ineg = _adjacent_pairs(*split)
+    ref_p, ref_n = _all_rays_pairs(*split)
+    assert ip.tolist() == ref_p.tolist() and ineg.tolist() == ref_n.tolist()

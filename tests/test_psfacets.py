@@ -165,6 +165,30 @@ class TestPsFacetCheck:
         assert report["valid"] and report["is_facet"]
         assert report["face_dim"] == THREE_INPUT_PS.cg_dim - 1
 
+    @pytest.mark.parametrize(
+        "eff, ineq, lps, dim",
+        [((F(7, 10), F(19, 20)), None, 15, CHSH.cg_dim),
+         ((F(9, 10), F(9, 10)), None, 15, CHSH.cg_dim),
+         ((F(4, 5), F(17, 20)), None, 15, CHSH.cg_dim)]
+        + [((1, etaB), ch_eta_3in(etaB), 21, THREE_INPUT_PS.cg_dim)
+           for etaB in (F(3, 5), F(7, 10), F(9, 10))],
+    )
+    def test_own_normal_needs_no_lp(self, monkeypatch, eff, ineq, lps, dim):
+        # The inequality's coefficient vector is a normal of its face from
+        # the start: one LP for validity and one max/min pair per
+        # remaining direction, none for the normal itself.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pslocal.linprog.solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(pslocal.psfacets, "solve_lp", counted)
+        eff = Efficiencies.of(*eff)
+        report = ps_facet_check(eff, ineq or ch_eta(eff))
+        assert report == {"valid": True, "tight": True, "face_dim": dim - 1, "is_facet": True}
+        assert len(calls) == lps
+
     def test_white_region_upper_bound_is_low_dimensional_face(self):
         report = ps_facet_check(WHITE, ch_eta(WHITE))
         assert report["valid"]
