@@ -20,7 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from functools import lru_cache
+from typing import Mapping, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -30,6 +33,7 @@ from .errors import (
     UnknownName,
     ZeroEfficiency,
 )
+from .linprog import common_denominator, int_dtype
 
 RationalLike = Union[int, str, Fraction]
 
@@ -293,11 +297,6 @@ def to_cg(t: JointTable) -> CGVector:
     """Collins-Gisin coordinates of a no-signaling table (exact)."""
     if not is_nonsignaling(t):
         raise SignalingInput("table is signaling; CG coordinates undefined")
-    return _cg_coords(t)
-
-
-def _cg_coords(t: JointTable) -> CGVector:
-    """`to_cg` of a table already known to be no-signaling."""
     s = t.scenario
     coords = []
     for x in range(s.mA):
@@ -365,6 +364,61 @@ class Efficiencies:
         return cls(rational(etaA), rational(etaB))
 
 
+@lru_cache(maxsize=None)
+def _detection_map(s: Scenario) -> tuple:
+    """The detection map of a conclusive scenario as integer 0/1 blocks
+    over its flat table (`flat_index`): (select, ns, lifted, cg).
+    ``select`` stacks ``ns`` no-signalling difference rows, then per
+    setting pair Alice's marginals, Bob's marginals and the joint cells.
+    ``lifted`` and ``cg`` pair each entry of the lifted table (flat order)
+    and of its CG coordinates with its entry of ``select @ p`` (a constant
+    1 appended) and its weight (`_detect`)."""
+    mA, mB, nA, nB, n = s.mA, s.mB, s.nA, s.nB, flat_size(s)
+    cells = np.eye(n, dtype=np.int64).reshape(mA, mB, nA, nB, n)
+    marg_A, marg_B = cells.sum(axis=3), cells.sum(axis=2)
+    blocks = [marg_A[:, 1:] - marg_A[:, :1], marg_B[1:] - marg_B[:1], marg_A, marg_B, cells]
+    select = np.concatenate([b.reshape(-1, n) for b in blocks])
+    ends = np.cumsum([b.size // n for b in blocks])
+    i_A, i_B, i_J = (np.arange(ends[k - 1], ends[k]).reshape(blocks[k].shape[:-1]) for k in (2, 3, 4))
+    # Lifted cells: eA*eB p, eA*(1-eB) P_A, (1-eA)*eB P_B and (1-eA)*(1-eB).
+    src = np.full((mA, mB, nA + 1, nB + 1), len(select))
+    weight = np.full_like(src, 3)
+    src[:, :, :nA, :nB], weight[:, :, :nA, :nB] = i_J, 0
+    src[:, :, :nA, nB], weight[:, :, :nA, nB] = i_A, 1
+    src[:, :, nA, :nB], weight[:, :, nA, :nB] = i_B, 2
+    # CG coordinates: eA P_A(a|x), eB P_B(b|y), then eA*eB p in (x, a, y, b) order.
+    cg = [i_A[:, 0], i_B[0], i_J.transpose(0, 2, 1, 3)]
+    cg_weight = np.repeat([4, 5, 0], [i.size for i in cg])
+    pairs = lambda i, w: tuple(zip(i.ravel().tolist(), w.ravel().tolist()))
+    return select, int(ends[1]), pairs(src, weight), pairs(np.concatenate([i.ravel() for i in cg]), cg_weight)
+
+
+def _detect(s: Scenario, P: list, D: int, eff: Efficiencies, cg: bool) -> Tuple[bool, list, int]:
+    """Whether the conclusive table P / D (numerators in flat order) is
+    no-signalling, and numerators over one denominator of its lifted table
+    or, with ``cg``, of that table's CG coordinates: one integer product,
+    int64 below the `int_dtype` bound and Python ints past it."""
+    select, ns, lifted, cg_pairs = _detection_map(s)
+    dtype = int_dtype(max(map(abs, P)) * len(P))
+    v = (select.astype(dtype, copy=False) @ np.array(P, dtype=dtype)).tolist() + [D]
+    a, da, b, db = eff.etaA.numerator, eff.etaA.denominator, eff.etaB.numerator, eff.etaB.denominator
+    # eA*eB, eA*(1-eB), (1-eA)*eB, (1-eA)*(1-eB), eA, eB over da * db.
+    w = (a * b, a * (db - b), (da - a) * b, (da - a) * (db - b), a * db, da * b)
+    return not any(v[:ns]), [v[i] * w[k] for i, k in (cg_pairs if cg else lifted)], D * da * db
+
+
+def lift_numerators(pps: JointTable, eff: Efficiencies, cg: bool = False) -> Tuple[list, int]:
+    """`lift` in integers: numerators over one positive denominator of the
+    lifted table in flat order or, with ``cg``, of its CG coordinates."""
+    s = pps.scenario
+    if s.no_detection_A or s.no_detection_B:
+        raise DimensionMismatch("input table must be over a conclusive scenario")
+    no_signalling, nums, den = _detect(s, *common_denominator(flatten(pps)), eff, cg)
+    if not no_signalling:
+        raise SignalingInput("cannot lift a signaling table")
+    return nums, den
+
+
 def lift(pps: JointTable, eff: Efficiencies) -> JointTable:
     """The unique a-priori table with the given efficiencies post-selecting to pps.
 
@@ -373,29 +427,8 @@ def lift(pps: JointTable, eff: Efficiencies) -> JointTable:
     carry the scaled marginals, and the double-no-detection weight is
     (1-etaA)(1-etaB) for every setting pair.
     """
-    s = pps.scenario
-    if s.no_detection_A or s.no_detection_B:
-        raise DimensionMismatch("input table must be over a conclusive scenario")
-    if not is_nonsignaling(pps):
-        raise SignalingInput("cannot lift a signaling table")
-    etaA, etaB = eff.etaA, eff.etaB
-    s0 = s.with_no_detection()
-    entries = []
-    for x in range(s.mA):
-        row = []
-        for y in range(s.mB):
-            block = [[ZERO] * s0.kB for _ in range(s0.kA)]
-            for a in range(s.nA):
-                for b in range(s.nB):
-                    block[a][b] = etaA * etaB * pps.p[x][y][a][b]
-            for a in range(s.nA):
-                block[a][s.nB] = etaA * (1 - etaB) * pps.marginal_A(x, a, y=y)
-            for b in range(s.nB):
-                block[s.nA][b] = (1 - etaA) * etaB * pps.marginal_B(y, b, x=x)
-            block[s.nA][s.nB] = (1 - etaA) * (1 - etaB)
-            row.append(block)
-        entries.append(row)
-    return JointTable(s0, entries)
+    nums, den = lift_numerators(pps, eff)
+    return unflatten(pps.scenario.with_no_detection(), [Fraction(v, den) for v in nums])
 
 
 def postselect(p0: JointTable, eff: Efficiencies) -> JointTable:
@@ -403,41 +436,22 @@ def postselect(p0: JointTable, eff: Efficiencies) -> JointTable:
 
     The input must satisfy the detection-efficiency constraints exactly for
     ``eff``; the output is then the conclusive block divided by etaA*etaB,
-    automatically normalized and no-signaling.
+    automatically normalized and no-signaling.  As blocks sum to one, the
+    constraints hold iff the detection map takes that output back to p0.
     """
     s0 = p0.scenario
     if not (s0.no_detection_A and s0.no_detection_B):
         raise DimensionMismatch("input table must carry no-detection outcomes")
-    etaA, etaB = eff.etaA, eff.etaB
-    if etaA * etaB == 0:
+    if eff.etaA * eff.etaB == 0:
         raise ZeroEfficiency("cannot post-select with etaA*etaB = 0")
-    s = s0.conclusive()
-    # Check the per-side efficiency constraints exactly.
-    for x in range(s.mA):
-        for y in range(s.mB):
-            for b in range(s0.kB):
-                conclusive_a = sum(p0.p[x][y][a][b] for a in range(s.nA))
-                if conclusive_a != etaA * p0.marginal_B(y, b, x=x):
-                    raise EfficiencyMismatch(
-                        f"Alice-side constraint fails at x={x}, y={y}, b={b}"
-                    )
-            for a in range(s0.kA):
-                conclusive_b = sum(p0.p[x][y][a][b] for b in range(s.nB))
-                if conclusive_b != etaB * p0.marginal_A(x, a, y=y):
-                    raise EfficiencyMismatch(
-                        f"Bob-side constraint fails at x={x}, y={y}, a={a}"
-                    )
-    entries = [
-        [
-            [
-                [p0.p[x][y][a][b] / (etaA * etaB) for b in range(s.nB)]
-                for a in range(s.nA)
-            ]
-            for y in range(s.mB)
-        ]
-        for x in range(s.mA)
-    ]
-    return JointTable(s, entries)
+    s, flat = s0.conclusive(), flatten(p0)
+    out = [v / (eff.etaA * eff.etaB) for v, (_, k) in zip(flat, _detection_map(s)[2]) if k == 0]
+    _, nums, den = _detect(s, *common_denominator(out), eff, cg=False)
+    for i, (v, p) in enumerate(zip(nums, flat)):
+        if Fraction(v, den) != p:
+            x, y, a, b = np.unravel_index(i, (s0.mA, s0.mB, s0.kA, s0.kB))
+            raise EfficiencyMismatch(f"efficiency constraints fail at x={x}, y={y}, a={a}, b={b}")
+    return unflatten(s, out)
 
 
 # Collins-Gisin coordinates of the named CHSH correlations: marginals

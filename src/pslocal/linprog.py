@@ -329,13 +329,17 @@ def solve_exact_system(rows: Sequence[Sequence], rhs: Sequence, n: int) -> List[
 
 class ExactMatrix(NamedTuple):
     """An LP matrix A, built once: ``rows[i]`` is row i of A times the
-    positive integer ``scale[i]``, ``cols`` the columns of ``rows`` and
-    ``dense`` A in floating point.  A dual y of A is y / scale on rows."""
+    positive integer ``scale[i]``, ``cols`` the columns of ``rows``,
+    ``dense`` A in floating point, ``ints`` ``rows`` as an integer array
+    (int64, or object past the `int_dtype` bound) and ``bound`` the largest
+    |entry| of ``rows`` (1 if all are zero).  A dual y of A is y / scale on rows."""
 
     rows: tuple
     scale: tuple
     cols: tuple
     dense: np.ndarray
+    ints: np.ndarray
+    bound: int
 
 
 def exact_matrix(A) -> ExactMatrix:
@@ -348,7 +352,9 @@ def exact_matrix(A) -> ExactMatrix:
         rows.append(tuple(ints))
         scale.append(denom)
     dense = np.array(rows, dtype=float) / np.array(scale, dtype=float)[:, None]
-    return ExactMatrix(tuple(rows), tuple(scale), tuple(zip(*rows)), dense)
+    bound = max((abs(v) for row in rows for v in row), default=0) or 1
+    ints = np.array(rows, dtype=int_dtype(bound))
+    return ExactMatrix(tuple(rows), tuple(scale), tuple(zip(*rows)), dense, ints, bound)
 
 
 def with_rows(M: ExactMatrix, A) -> ExactMatrix:
@@ -356,8 +362,17 @@ def with_rows(M: ExactMatrix, A) -> ExactMatrix:
     extra = exact_matrix(A)
     rows = M.rows + extra.rows
     return ExactMatrix(
-        rows, M.scale + extra.scale, tuple(zip(*rows)), np.vstack([M.dense, extra.dense])
+        rows, M.scale + extra.scale, tuple(zip(*rows)), np.vstack([M.dense, extra.dense]),
+        np.vstack([M.ints, extra.ints]), max(M.bound, extra.bound),
     )
+
+
+def int_matmul(A, B, bound: int) -> list:
+    """A @ B for integer arrays or lists whose products' partial sums are
+    at most ``bound`` in absolute value, exactly: in int64 below the
+    `int_dtype` bound, else in Python ints.  Returns Python ints."""
+    dtype = int_dtype(bound)
+    return (np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)).tolist()
 
 
 def _scaled(M: ExactMatrix, b: Sequence) -> list:
@@ -437,12 +452,15 @@ def _guided_nnls(A, b, c) -> Optional[LPResult]:
     if rnorm <= SUPPORT_TOL:
         zero = [ZERO] * len(M.rows)
         return None if any(c) else LPResult(OPTIMAL, _resolve_on(M, rhs, P), ZERO, zero)
-    B = np.array(common_denominator(rhs)[0], dtype=object)
-    R = np.array([M.cols[j] for j in P], dtype=object).reshape(len(P), len(B))
-    _, pivots = row_reduce(np.column_stack([R @ R.T, R @ B]).tolist(), len(P))
+    B = common_denominator(rhs)[0]
+    R = M.ints[:, P].T  # the passive columns, one per row
+    normal = int_matmul(R, R.T, M.bound ** 2 * len(B))
+    RB = int_matmul(R, B, M.bound * max(map(abs, B)) * len(B))
+    _, pivots = row_reduce([row + [v] for row, v in zip(normal, RB)], len(P))
     lam, den = solution(pivots, len(P), len(P))
-    r = B * den - np.array(lam, dtype=object) @ R
-    farkas = coprime_integers([s * v for s, v in zip(M.scale, r.tolist())])
+    fit = int_matmul(lam, R, M.bound * max(map(abs, lam), default=0) * len(P))
+    r = [v * den - f for v, f in zip(B, fit)]
+    farkas = coprime_integers([s * v for s, v in zip(M.scale, r)])
     return LPResult(status=INFEASIBLE, farkas=list(farkas))
 
 
@@ -464,12 +482,10 @@ def certify(A, b, c, result: LPResult) -> None:
         if x is None or len(x) != n:
             return None
         X, den = common_denominator(x)
-        used = [(j, v) for j, v in enumerate(X) if v]
-        if all(v > 0 for _, v in used) and all(
-            sum(row[j] * v for j, v in used) * b_den == r * den for row, r in zip(M.rows, rhs)
-        ):
-            return X, den
-        return None
+        if any(v < 0 for v in X):
+            return None
+        RX = int_matmul(M.ints, X, M.bound * max(map(abs, X), default=0) * n)
+        return (X, den) if all(v * b_den == r * den for v, r in zip(RX, rhs)) else None
 
     def dual(y) -> Optional[tuple]:
         """(numerators of y.A, of y.b, denominator), from y' = y / scale."""
@@ -477,7 +493,7 @@ def certify(A, b, c, result: LPResult) -> None:
             return None
         y = [v if s == 1 else Fraction(v) / s for v, s in zip(y, M.scale)]
         Y, den = common_denominator(y)
-        return [dot(Y, col) for col in M.cols], dot(Y, B), den
+        return int_matmul(Y, M.ints, M.bound * max(map(abs, Y), default=0) * m), dot(Y, B), den
 
     def dot(u, v) -> int:
         return sum(p * q for p, q in zip(u, v) if p)

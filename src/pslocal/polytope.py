@@ -31,10 +31,9 @@ from .core import (
     Efficiencies,
     JointTable,
     Scenario,
-    _cg_coords,
     flat_index,
     flat_size,
-    lift,
+    lift_numerators,
     to_cg,
     unflatten,
 )
@@ -190,10 +189,11 @@ def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
 def is_ps_local(pps: JointTable, eff: Efficiencies) -> MembershipCertificate:
     """Can pps be explained by a local a-priori model with these
     efficiencies?  Tests membership of the lifted table in the local
-    a-priori polytope; the certificate lives in its coordinates.  `lift`
-    checks pps, and its output is no-signaling by construction."""
-    p0 = lift(pps, eff)
-    return membership(_cg_coords(p0), local_polytope(p0.scenario))
+    a-priori polytope; the certificate lives in its coordinates, which
+    `lift_numerators` gives without building the lifted table."""
+    nums, den = lift_numerators(pps, eff, cg=True)
+    s0 = pps.scenario.with_no_detection()
+    return membership(CGVector(s0, tuple(Fraction(v, den) for v in nums)), local_polytope(s0))
 
 
 def enumerate_facets(

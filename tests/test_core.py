@@ -3,13 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pslocal.core
 from pslocal.core import (
     CHSH,
     CGVector,
     Efficiencies,
     JointTable,
     Scenario,
+    flat_index,
+    flat_size,
+    flatten,
     is_nonsignaling,
     lift,
     named_correlation,
@@ -19,7 +25,9 @@ from pslocal.core import (
     table_to_json,
     to_cg,
     to_full,
+    unflatten,
 )
+from pslocal.inequalities import THREE_INPUT_PS
 from pslocal.errors import (
     EfficiencyMismatch,
     NotAProbability,
@@ -27,7 +35,16 @@ from pslocal.errors import (
     UnknownName,
 )
 
-from conftest import deterministic_table, random_local_table
+from conftest import (
+    BIG_DENOMINATOR,
+    box_table,
+    deterministic_table,
+    efficiencies,
+    mix_tables,
+    ns_tables,
+    random_local_table,
+    record_dtypes,
+)
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -233,3 +250,84 @@ def test_json_round_trip(rng):
         assert table_from_json(table_to_json(t)) == t
     t = named_correlation("PR")
     assert table_from_json(table_to_json(t)) == t
+
+
+def reference_lift(t: JointTable, eff: Efficiencies) -> JointTable:
+    """The lift written out cell by cell in Fractions."""
+    s = t.scenario
+    s0 = s.with_no_detection()
+    eA, eB = eff.etaA, eff.etaB
+    flat = [Fraction(0)] * flat_size(s0)
+    for x in range(s.mA):
+        for y in range(s.mB):
+            block = t.p[x][y]
+            for a in range(s.nA):
+                for b in range(s.nB):
+                    flat[flat_index(s0, x, y, a, b)] = eA * eB * block[a][b]
+                flat[flat_index(s0, x, y, a, s.nB)] = eA * (1 - eB) * sum(block[a])
+            for b in range(s.nB):
+                flat[flat_index(s0, x, y, s.nA, b)] = (1 - eA) * eB * sum(r[b] for r in block)
+            flat[flat_index(s0, x, y, s.nA, s.nB)] = (1 - eA) * (1 - eB)
+    return unflatten(s0, flat)
+
+
+def moved(t: JointTable, x: int, y: int, src: tuple, dst: tuple, share: Fraction) -> JointTable:
+    """t with ``share`` of entry src of block (x, y) moved to entry dst."""
+    s = t.scenario
+    flat = list(flatten(t))
+    i, j = flat_index(s, x, y, *src), flat_index(s, x, y, *dst)
+    delta = share * flat[i]
+    flat[i] -= delta
+    flat[j] += delta
+    return unflatten(s, flat)
+
+
+@pytest.mark.parametrize("scenario", [CHSH, THREE_INPUT_PS], ids=["chsh", "three-input"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lift_matches_the_reference_loop(scenario, data):
+    t = data.draw(ns_tables(scenario))
+    eff = data.draw(efficiencies)
+    p0 = lift(t, eff)
+    assert p0 == reference_lift(t, eff)
+    assert postselect(p0, eff) == t
+
+
+@pytest.mark.parametrize("scenario", [CHSH, THREE_INPUT_PS], ids=["chsh", "three-input"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_map_keeps_its_errors(scenario, data):
+    t = data.draw(ns_tables(scenario))
+    eff = data.draw(efficiencies)
+    # Half of the largest entry of block (0, 0) moves to the other Bob
+    # outcome: Bob's marginal at x = 0 no longer equals that at x = 1.
+    a, b = max(((a, b) for a in range(2) for b in range(2)), key=lambda ab: t.p[0][0][ab[0]][ab[1]])
+    with pytest.raises(SignalingInput):
+        lift(moved(t, 0, 0, (a, b), (a, 1 - b), Fraction(1, 2)), eff)
+    # Weight moved between conclusive cells of different rows and columns
+    # keeps every block sum but breaks a constraint unless eA = eB = 1.
+    p0 = lift(t, eff)
+    a, b = max(((a, b) for a in range(2) for b in range(2)), key=lambda ab: p0.p[0][0][ab[0]][ab[1]])
+    bad = moved(p0, 0, 0, (a, b), (1 - a, 1 - b), Fraction(1, 3))
+    if eff.etaA != 1 or eff.etaB != 1:
+        with pytest.raises(EfficiencyMismatch):
+            postselect(bad, eff)
+        with pytest.raises(EfficiencyMismatch):
+            postselect(p0, Efficiencies(eff.etaA / 2, eff.etaB))
+    else:
+        assert postselect(bad, eff) == moved(t, 0, 0, (a, b), (1 - a, 1 - b), Fraction(1, 3))
+
+
+def test_map_runs_in_int64_and_past_it(monkeypatch):
+    """Small denominators keep the map's product in int64; a table over
+    BIG_DENOMINATOR runs it in Python ints, with the same results."""
+    seen = record_dtypes(monkeypatch, pslocal.core)
+    eff = Efficiencies.of("3/4", "9/10")
+    box = box_table(CHSH, [[0, 0], [0, 1]])
+    for weight, dtype in ((Fraction(3, 7), np.int64), (Fraction(2 ** 63 + 1, BIG_DENOMINATOR), object)):
+        t = mix_tables([box, named_correlation("r")], [weight, 1 - weight])
+        seen.clear()
+        p0 = lift(t, eff)
+        assert p0 == reference_lift(t, eff)
+        assert postselect(p0, eff) == t
+        assert seen and set(seen) == {dtype}

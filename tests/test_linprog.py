@@ -26,6 +26,8 @@ from pslocal.linprog import (
     solve_lp,
 )
 
+from conftest import record_dtypes
+
 F = Fraction
 
 
@@ -180,13 +182,18 @@ def test_solve_lp_matches_exact_simplex(system):
     certify(A, b, c, ref)
 
 
-@pytest.mark.parametrize("tamper", [
+TAMPERS = [
     lambda r: LPResult(r.status, x=r.x, objective=r.objective + 1, dual=r.dual),
     lambda r: LPResult(r.status, x=[-v for v in r.x], objective=r.objective, dual=r.dual),
     lambda r: LPResult(r.status, x=r.x, objective=r.objective),
     lambda r: LPResult(INFEASIBLE, farkas=r.dual),
     lambda r: LPResult(UNBOUNDED, x=r.x),
-])
+    lambda r: LPResult(r.status, x=r.x, objective=r.objective, dual=[v + 1 for v in r.dual]),
+    lambda r: LPResult(UNBOUNDED, x=r.x, ray=r.x),
+]
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
 def test_certify_rejects_tampered_results(tamper):
     A = [[2, 1, 1, 0], [1, 3, 0, 1]]
     b = [F(4), F(6)]
@@ -195,6 +202,45 @@ def test_certify_rejects_tampered_results(tamper):
     certify(A, b, c, res)
     with pytest.raises(CertificateInvalid):
         certify(A, b, c, tamper(res))
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_certify_rejects_tampered_results_past_int64(monkeypatch, tamper):
+    """The same LP with A times K, b and c times K**2: x and y scale by
+    K, and rows, x and y all pass 2**62.  certify's products run in
+    Python ints, accept the optimum and reject every tampered copy."""
+    K = 2 ** 62 + 1
+    A = [[2, 1, 1, 0], [1, 3, 0, 1]]
+    b, c = [F(4), F(6)], [F(-3), F(-5), F(0), F(0)]
+    res = solve_lp(A, b, c)
+    A = [[K * v for v in row] for row in A]
+    b, c = [K * K * v for v in b], [K * K * v for v in c]
+    res = LPResult(
+        OPTIMAL, x=[K * v for v in res.x], objective=K ** 3 * res.objective,
+        dual=[K * v for v in res.dual],
+    )
+    M = exact_matrix(A)
+    assert M.ints.dtype == object
+    seen = record_dtypes(monkeypatch, pslocal.linprog)
+    certify(M, b, c, res)
+    assert seen and set(seen) == {object}
+    with pytest.raises(CertificateInvalid):
+        certify(M, b, c, tamper(res))
+
+
+@pytest.mark.parametrize("K", [1, 2 ** 62 + 1], ids=["int64", "object"])
+def test_nnls_farkas_in_int64_and_past_it(monkeypatch, K):
+    """Rows 1 + 2 equal row 3 but their right-hand sides do not: NNLS
+    leaves a residual, whose normal equations run in Python ints past
+    2**62, and its Farkas vector certifies without the exact simplex."""
+    A = [[K, 2 * K, 0], [0, K, K], [K, 3 * K, K]]
+    b, c = [K, K, 3 * K], [0, 0, 0]
+    seen = record_dtypes(monkeypatch, pslocal.linprog)
+    monkeypatch.setattr(pslocal.linprog, "solve_equality_form", None)  # never reached
+    res = solve_lp(A, b, c)
+    assert res.status == INFEASIBLE
+    certify(A, b, c, res)
+    assert (object in seen) == (K > 1)
 
 
 def test_unbounded_ray_certifies():

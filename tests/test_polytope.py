@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pslocal.core
 import pslocal.linprog
 import pslocal.polytope
 from pslocal.core import (
@@ -41,7 +44,15 @@ from pslocal.polytope import (
 )
 from pslocal.quantum import bell_state_setup, correlation, rationalize
 
-from conftest import nnls_iteration_limit, random_local_table
+from conftest import (
+    BIG_DENOMINATOR,
+    efficiencies,
+    mix_tables,
+    nnls_iteration_limit,
+    ns_tables,
+    random_local_table,
+    record_dtypes,
+)
 
 F = Fraction
 
@@ -202,6 +213,44 @@ class TestMembershipFallback:
         p = [[[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[[1, 0], [0, 0]], [[1, 0], [0, 0]]]]
         with pytest.raises(SignalingInput):
             is_ps_local(JointTable(CHSH, p), Efficiencies.of(F(2, 3), F(2, 3)))
+
+
+class TestPsLocalMap:
+    """`is_ps_local` takes the lifted table's coordinates from the
+    detection map in integers; its certificates are those of membership
+    of the lifted table."""
+
+    # Three-input tables over BIG_DENOMINATOR often need the exact simplex
+    # on 243 vertices (seconds each): the float guide cannot resolve them.
+    @pytest.mark.parametrize("scenario, dens", [
+        (CHSH, (10, BIG_DENOMINATOR)), (THREE_INPUT_PS, (10,)),
+    ], ids=["chsh", "three-input"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_membership_of_the_lift(self, scenario, dens, data):
+        t = data.draw(ns_tables(scenario, dens))
+        eff = data.draw(efficiencies)
+        expected = membership(to_cg(lift(t, eff)), local_polytope(scenario.with_no_detection()))
+        assert is_ps_local(t, eff) == expected
+
+    def test_both_dtype_paths(self, monkeypatch):
+        seen = record_dtypes(monkeypatch, pslocal.core)
+        eff = Efficiencies.of(F(3, 4), F(3, 4))
+        for weight, dtype in ((F(1, 2), np.int64), (F(2 ** 63 + 1, BIG_DENOMINATOR), object)):
+            t = mix_tables([named_correlation("PR"), named_correlation("r")], [weight, 1 - weight])
+            seen.clear()
+            cert = is_ps_local(t, eff)
+            assert seen == [dtype]
+            assert cert == membership(to_cg(lift(t, eff)), local_polytope(CHSH.with_no_detection()))
+
+    def test_signaling_input_is_rejected_before_the_lp(self, monkeypatch):
+        monkeypatch.setattr(pslocal.polytope, "membership", None)  # never reached
+        p = [[[[F(1, 2), 0], [0, F(1, 2)]], [[F(1, 2), 0], [0, F(1, 2)]]],
+             [[[F(1, 2), 0], [0, F(1, 2)]], [[1, 0], [0, 0]]]]
+        with pytest.raises(SignalingInput):
+            is_ps_local(JointTable(CHSH, p), Efficiencies.of(1, F(1, 2)))
+        with pytest.raises(DimensionMismatch):
+            is_ps_local(lift(named_correlation("PR"), Efficiencies.of(1, 1)), Efficiencies.of(1, 1))
 
 
 class TestMembershipMatrix:
