@@ -13,6 +13,10 @@ Conventions
 * A full table flattens to one tuple in (x, y, a, b) row-major order
   (`flat_index`, `flatten`, `unflatten`); relabelings and functionals on
   the full table space work on that layout.
+* The detection map of a scenario is cached once as integer 0/1 blocks
+  over that layout (`_detection_map`); `lift`, `postselect` and
+  `lift_numerators` apply it to a table's numerators over one common
+  denominator by one integer product, with the efficiencies as weights.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ canonical inequality keys); `coprime_rows` is its array form, for the
 integer matrices of the double description and the orbit search.
 
 `solve_lp` is the one exact LP entry point: min c.x s.t. Ax = b, x >= 0,
-over a matrix scaled to integers row by row once (`exact_matrix`).
+over a matrix scaled to integers row by row once (`exact_matrix`), kept
+also as an integer array that `certify` and the NNLS guide multiply with
+(`int_matmul`: int64 below the `int_dtype` bound, else Python ints).
 Floating point guides it ("float guides, rationals certify"; Applegate,
 Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).  Lawson-Hanson NNLS
 alone guides a feasibility LP (c = 0, e.g. membership): its passive set

@@ -13,6 +13,8 @@ once, by double description, and each check is one exact integer product
 against them.  Facet enumeration goes through the double description
 method; facet verification takes integer slacks from the coprime key.
 Ranks and LPs come from the integer exact core in `linprog`.
+`is_ps_local` takes the lifted table's coordinates from the detection
+map in integers (`core.lift_numerators`), without building the table.
 """
 
 from __future__ import annotations
