@@ -7,6 +7,8 @@ Conventions
   user-facing serialization is 1-based, matching the usual Bell-scenario
   notation.
 * All probabilities are `fractions.Fraction`; floats never enter this module.
+  `rational` hands out one shared, immutable Fraction per recently seen int
+  (a bounded cache).
 * Collins-Gisin coordinates are ordered as: Alice first-outcome marginals
   (by input, then outcome), Bob first-outcome marginals, then the joint block
   in row-major order (Alice label rows, Bob label columns).
@@ -45,6 +47,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
+# Facet keys repeat a few small ints; the cache is bounded whatever the input.
+_int_fraction = lru_cache(maxsize=4096)(Fraction)
+
 
 def rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, "p/q" or decimal string.
@@ -55,7 +60,7 @@ def rational(value: RationalLike) -> Fraction:
     if type(value) is Fraction:
         return value
     if type(value) is int:  # exact type: a bool must still raise below
-        return Fraction(value)
+        return _int_fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -133,17 +138,29 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Scenario":
+        counts = [_field(d, name, int, "scenario") for name in ("mA", "mB", "nA", "nB")]
         if "no_detection" in d:
             nd = bool(d["no_detection"])
-            return cls(d["mA"], d["mB"], d["nA"], d["nB"], nd, nd)
+            return cls(*counts, nd, nd)
         return cls(
-            d["mA"],
-            d["mB"],
-            d["nA"],
-            d["nB"],
+            *counts,
             bool(d.get("no_detection_A", False)),
             bool(d.get("no_detection_B", False)),
         )
+
+
+def _field(d, name: str, kind: type, what: str):
+    """``d[name]`` of the parsed JSON object ``what``, checked to be a
+    ``kind`` (int or Mapping; a bool is no int): a ValueError names the
+    missing or ill-typed field."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be a JSON object, not {type(d).__name__}")
+    if name not in d:
+        raise ValueError(f"{what} lacks the field {name!r}")
+    if not isinstance(d[name], kind) or (kind is int and isinstance(d[name], bool)):
+        expected = "an int" if kind is int else "a JSON object"
+        raise ValueError(f"{what} field {name!r} must be {expected}, not {type(d[name]).__name__}")
+    return d[name]
 
 
 CHSH = Scenario.chsh()
@@ -519,15 +536,17 @@ def table_to_dict(t: JointTable) -> dict:
 
 
 def table_from_dict(d: Mapping) -> JointTable:
-    s = Scenario.from_dict(d["scenario"])
+    s = Scenario.from_dict(_field(d, "scenario", Mapping, "correlation table"))
     flat = [ZERO] * flat_size(s)
-    for xy, block in d["p"].items():
-        xs, ys = xy.split(",")
-        x, y = int(xs.split("=")[1]) - 1, int(ys.split("=")[1]) - 1
-        for ab, value in block.items():
-            as_, bs = ab.split(",")
-            a, b = int(as_.split("=")[1]) - 1, int(bs.split("=")[1]) - 1
-            flat[flat_index(s, x, y, a, b)] = rational(value)
+    p = _field(d, "p", Mapping, "correlation table")
+    for xy in p:
+        block = _field(p, xy, Mapping, "the table's 'p'")
+        for ab in block:
+            try:  # 1-based labels "x=1,y=2" and "a=1,b=2"
+                xyab = [int(part.split("=")[1]) - 1 for part in f"{xy},{ab}".split(",")]
+                flat[np.ravel_multi_index(xyab, (s.mA, s.mB, s.kA, s.kB))] = rational(block[ab])
+            except (IndexError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad table entry {xy!r}, {ab!r}: {exc}") from None
     return unflatten(s, flat)
 
 

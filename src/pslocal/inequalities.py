@@ -5,20 +5,25 @@ An :class:`Inequality` is an affine functional in Collins-Gisin coordinates:
 or ``>=``.  Inequalities are stored scale-free: comparisons and orbit
 computations go through a canonical coprime-integer key (`coprime_integers`)
 with the offset folded into the right-hand side and the relation flipped
-to ``<=``.
+to ``<=``.  `Inequality.key` computes it once per object, and
+`inequality_from_key` stores a key that is already canonical (the coprime
+rays of the double description), so no facet key is rebuilt from Fractions.
 
 Relabeling symmetries (input permutations, per-observable outcome
 permutations, party exchange) act on inequalities through their full-table
 coefficient representation (the flat layout of `core.flat_index`); the
 conversion back to Collins-Gisin coordinates is canonical on the
-no-signaling subspace.
+no-signaling subspace.  The generators and the integer reconstruction
+tables are built once per scenario; the orbit search keys a whole level by
+one exact product (`linprog.int_matmul`: float64 BLAS below 2**53).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -34,13 +39,11 @@ from .core import (
     cg_index_marginal_B,
     flat_index,
     flat_size,
-    flatten,
     rational,
     to_cg,
-    to_full,
 )
-from .errors import DimensionMismatch, IdentityFailed
-from .linprog import coprime_integers, coprime_rows, int_dtype
+from .errors import DimensionMismatch
+from .linprog import coprime_integers, coprime_rows, int_dtype, int_matmul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,9 +58,10 @@ class Inequality:
     offset: Fraction = ZERO
     bound: Fraction = ZERO
     relation: str = "<="
+    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coeffs = tuple(rational(c) for c in self.coeffs)
+        coeffs = tuple(map(rational, self.coeffs))
         if len(coeffs) != self.scenario.cg_dim:
             raise DimensionMismatch(
                 f"expected {self.scenario.cg_dim} coefficients, got {len(coeffs)}"
@@ -86,13 +90,14 @@ class Inequality:
         return self.bound - value if self.relation == "<=" else value - self.bound
 
     def key(self) -> tuple:
-        """Canonical coprime-integer key (coeffs..., rhs) with relation '<='."""
-        rhs = self.bound - self.offset
-        coeffs = self.coeffs
-        if self.relation == ">=":
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
-        return coprime_integers(coeffs + (rhs,))
+        """Canonical coprime-integer key (coeffs..., rhs) with relation '<=',
+        computed once per object."""
+        if self._key is None:
+            values = self.coeffs + (self.bound - self.offset,)
+            if self.relation == ">=":
+                values = tuple(-c for c in values)
+            object.__setattr__(self, "_key", coprime_integers(values))
+        return self._key
 
     def canonical_scaled(self) -> "Inequality":
         """The '<='-oriented coprime-integer representative of this inequality."""
@@ -119,7 +124,11 @@ class Inequality:
 
 
 def inequality_from_key(scenario: Scenario, key: tuple) -> Inequality:
-    return Inequality(scenario, tuple(key[:-1]), ZERO, Fraction(key[-1]), "<=")
+    """The '<=' inequality (coeffs..., rhs) of a key; a canonical key is stored."""
+    ineq = Inequality(scenario, tuple(key[:-1]), ZERO, key[-1], "<=")
+    if set(map(type, key)) == {int} and gcd(*key) <= 1:  # already canonical
+        object.__setattr__(ineq, "_key", tuple(key))
+    return ineq
 
 
 def from_cg_table(
@@ -345,22 +354,25 @@ def _cg_basis_tables(s: Scenario) -> tuple:
     """Flattened integer tables of to_full(0) and to_full(e_i) - to_full(0).
 
     Used to convert a full-table functional back to its canonical CG form:
-    the reconstruction map is affine with integer coefficients.
+    the reconstruction map is affine with integer coefficients.  Block
+    (x, y) is S_A^-1 G S_B^-T: G = [[1, P_B(.|y)], [P_A(.|x), p(., .|x, y)]]
+    over (1, coords), and S^-1 inverts outcomes -> (total, first outcomes).
     """
-    dim = s.cg_dim
+    mA, mB, kA, kB, dim = s.mA, s.mB, s.kA, s.kB, s.cg_dim
+    nA, nB = mA * (kA - 1), mB * (kB - 1)
+    col = np.zeros((mA, mB, kA, kB), dtype=np.intp)  # G's entries as columns of (1, coords)
+    col[:, :, 1:, 0] = 1 + np.arange(nA).reshape(mA, 1, kA - 1)
+    col[:, :, 0, 1:] = 1 + nA + np.arange(nB).reshape(mB, kB - 1)
+    joint = 1 + nA + nB + np.arange(nA * nB)
+    col[:, :, 1:, 1:] = joint.reshape(mA, kA - 1, mB, kB - 1).transpose(0, 2, 1, 3)
 
-    def integer_table(coords: tuple) -> tuple:
-        flat = flatten(to_full(CGVector(s, coords), allow_negative=True))
-        if any(v.denominator != 1 for v in flat):
-            raise IdentityFailed("CG reconstruction has non-integer coefficients")
-        return tuple(int(v) for v in flat)
+    def inv(k: int) -> np.ndarray:  # rows e_1, ..., e_k-1, then e_0 - e_1 - ... - e_k-1
+        e = np.eye(k, dtype=np.int64)
+        return np.vstack([e[1:], 2 * e[:1] - 1])
 
-    t0 = integer_table((ZERO,) * dim)
-    basis = []
-    for i in range(dim):
-        ti = integer_table((ZERO,) * i + (ONE,) + (ZERO,) * (dim - 1 - i))
-        basis.append(tuple(u - v for u, v in zip(ti, t0)))
-    return t0, tuple(basis)
+    G = np.eye(dim + 1, dtype=np.int64)[col]
+    flat = np.einsum("ai,xyijc,bj->xyabc", inv(kA), G, inv(kB)).reshape(-1, dim + 1)
+    return tuple(flat[:, 0].tolist()), tuple(map(tuple, flat[:, 1:].T.tolist()))
 
 
 def functional_to_full(ineq: Inequality) -> tuple:
@@ -410,57 +422,39 @@ def functional_from_full(
 # Symmetry orbits
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _transposition_perms(
     s: Scenario, fix_no_detection: bool, include_party_swap: bool
-) -> list:
-    """Flat-index permutations generating the relabeling group.
+) -> tuple:
+    """Flat-index permutations generating the relabeling group, built once
+    per (scenario, flags).
 
     Generators: adjacent input transpositions on each side, adjacent outcome
     transpositions per observable (holding the no-detection outcome fixed
     when requested), and the party exchange when the scenario is symmetric.
     All generators are involutions.
     """
-    n = flat_size(s)
-    perms = []
+    idx = np.arange(flat_size(s)).reshape(s.mA, s.mB, s.kA, s.kB)
 
-    def build(mapper) -> tuple:
-        perm = [0] * n
-        for x in range(s.mA):
-            for y in range(s.mB):
-                for a in range(s.kA):
-                    for b in range(s.kB):
-                        x2, y2, a2, b2 = mapper(x, y, a, b)
-                        perm[flat_index(s, x, y, a, b)] = flat_index(
-                            s, x2, y2, a2, b2
-                        )
-        return tuple(perm)
+    def swap(*at) -> tuple:
+        """idx with the two entries picked by the last index of ``at`` exchanged."""
+        *head, (i, j) = at
+        perm = idx.copy()
+        perm[(*head, [i, j])] = idx[(*head, [j, i])]
+        return tuple(perm.ravel().tolist())
 
-    def swap(i, j):
-        return lambda v: j if v == i else (i if v == j else v)
-
-    for x0 in range(s.mA - 1):
-        f = swap(x0, x0 + 1)
-        perms.append(build(lambda x, y, a, b, f=f: (f(x), y, a, b)))
-    for y0 in range(s.mB - 1):
-        f = swap(y0, y0 + 1)
-        perms.append(build(lambda x, y, a, b, f=f: (x, f(y), a, b)))
     topA = s.kA - 1 if (fix_no_detection and s.no_detection_A) else s.kA
     topB = s.kB - 1 if (fix_no_detection and s.no_detection_B) else s.kB
-    for x0 in range(s.mA):
-        for a0 in range(topA - 1):
-            f = swap(a0, a0 + 1)
-            perms.append(
-                build(lambda x, y, a, b, x0=x0, f=f: (x, y, f(a) if x == x0 else a, b))
-            )
-    for y0 in range(s.mB):
-        for b0 in range(topB - 1):
-            f = swap(b0, b0 + 1)
-            perms.append(
-                build(lambda x, y, a, b, y0=y0, f=f: (x, y, a, f(b) if y == y0 else b))
-            )
+    every = slice(None)
+    perms = (
+        [swap((x, x + 1)) for x in range(s.mA - 1)]
+        + [swap(every, (y, y + 1)) for y in range(s.mB - 1)]
+        + [swap(x, every, (a, a + 1)) for x in range(s.mA) for a in range(topA - 1)]
+        + [swap(every, y, every, (b, b + 1)) for y in range(s.mB) for b in range(topB - 1)]
+    )
     if include_party_swap and s.mA == s.mB and s.kA == s.kB:
-        perms.append(build(lambda x, y, a, b: (y, x, b, a)))
-    return perms
+        perms.append(tuple(idx.transpose(1, 0, 3, 2).ravel().tolist()))
+    return tuple(perms)
 
 
 def _orbit_keys(
@@ -470,10 +464,9 @@ def _orbit_keys(
 
     Breadth-first over the generators, one level at a time: the frontier's
     full-table functionals F are permuted by every generator at once
-    (F[:, perms]) and keyed by one integer product with the
-    `_cg_basis_tables`.  The product runs in int64 when
-    max|w| * max|table| * len(w) + |rhs| < 2**62 (a relabeling keeps
-    max|w|), otherwise in Python ints.  Keys are visited in (functional,
+    (F[:, perms]) and keyed by one exact integer product (`int_matmul`)
+    with the `_cg_basis_tables`, bounded by max|w| * max|table| * len(w) +
+    |rhs| (a relabeling keeps max|w|).  Keys are visited in (functional,
     generator) order, so each key keeps its first-found witness and the
     dict's order is that of the one-at-a-time search.
     """
@@ -490,19 +483,19 @@ def _orbit_keys(
     perms = np.array(perms, dtype=np.intp).reshape(-1, len(w0))
     tables = np.array((t0, *basis)).T
     bound = max(map(abs, w0)) * int(np.abs(tables).max()) * len(w0) + abs(rhs0)
-    tables = tables.astype(int_dtype(bound))
 
     seen = {}
-    level = np.array([w0], dtype=tables.dtype)
+    level = np.array([w0], dtype=int_dtype(bound))
     while len(level):
-        values = level @ tables
+        values = int_matmul(level, tables, bound)
         keys = coprime_rows(np.column_stack([values[:, 1:], rhs0 - values[:, 0]]))
-        fresh = []
+        fresh = {}
         for i, k in enumerate(map(tuple, keys.tolist())):
-            if k not in seen:
-                seen[k] = tuple(level[i].tolist())
-                fresh.append(i)
-        level = level[fresh][:, perms].reshape(-1, len(w0))
+            if k not in seen and k not in fresh:
+                fresh[k] = i
+        level = level[list(fresh.values())]
+        seen.update(zip(fresh, map(tuple, level.tolist())))
+        level = level[:, perms].reshape(-1, len(w0))
     return seen
 
 

@@ -13,7 +13,8 @@ integer matrices of the double description and the orbit search.
 `solve_lp` is the one exact LP entry point: min c.x s.t. Ax = b, x >= 0,
 over a matrix scaled to integers row by row once (`exact_matrix`), kept
 also as an integer array that `certify` and the NNLS guide multiply with
-(`int_matmul`: int64 below the `int_dtype` bound, else Python ints).
+(`int_matmul`: float64 BLAS below 2**53, int64 below the `int_dtype`
+bound, else Python ints).
 Floating point guides it ("float guides, rationals certify"; Applegate,
 Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).  Lawson-Hanson NNLS
 alone guides a feasibility LP (c = 0, e.g. membership): its passive set
@@ -369,12 +370,15 @@ def with_rows(M: ExactMatrix, A) -> ExactMatrix:
     )
 
 
-def int_matmul(A, B, bound: int) -> list:
+def int_matmul(A, B, bound: int) -> np.ndarray:
     """A @ B for integer arrays or lists whose products' partial sums are
-    at most ``bound`` in absolute value, exactly: in int64 below the
-    `int_dtype` bound, else in Python ints.  Returns Python ints."""
-    dtype = int_dtype(bound)
-    return (np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)).tolist()
+    at most ``bound`` in absolute value, exactly: on float64 BLAS below
+    2**53, where every such sum is a double, in any order; else in int64
+    below the `int_dtype` bound, else in Python ints.  Returns an int64 or
+    object array."""
+    dtype = np.float64 if bound < 2 ** 53 else int_dtype(bound)
+    product = np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)
+    return product.astype(np.int64) if dtype is np.float64 else product
 
 
 def _scaled(M: ExactMatrix, b: Sequence) -> list:
@@ -456,11 +460,11 @@ def _guided_nnls(A, b, c) -> Optional[LPResult]:
         return None if any(c) else LPResult(OPTIMAL, _resolve_on(M, rhs, P), ZERO, zero)
     B = common_denominator(rhs)[0]
     R = M.ints[:, P].T  # the passive columns, one per row
-    normal = int_matmul(R, R.T, M.bound ** 2 * len(B))
-    RB = int_matmul(R, B, M.bound * max(map(abs, B)) * len(B))
+    normal = int_matmul(R, R.T, M.bound ** 2 * len(B)).tolist()
+    RB = int_matmul(R, B, M.bound * max(map(abs, B)) * len(B)).tolist()
     _, pivots = row_reduce([row + [v] for row, v in zip(normal, RB)], len(P))
     lam, den = solution(pivots, len(P), len(P))
-    fit = int_matmul(lam, R, M.bound * max(map(abs, lam), default=0) * len(P))
+    fit = int_matmul(lam, R, M.bound * max(map(abs, lam), default=0) * len(P)).tolist()
     r = [v * den - f for v, f in zip(B, fit)]
     farkas = coprime_integers([s * v for s, v in zip(M.scale, r)])
     return LPResult(status=INFEASIBLE, farkas=list(farkas))
@@ -486,7 +490,7 @@ def certify(A, b, c, result: LPResult) -> None:
         X, den = common_denominator(x)
         if any(v < 0 for v in X):
             return None
-        RX = int_matmul(M.ints, X, M.bound * max(map(abs, X), default=0) * n)
+        RX = int_matmul(M.ints, X, M.bound * max(map(abs, X), default=0) * n).tolist()
         return (X, den) if all(v * b_den == r * den for v, r in zip(RX, rhs)) else None
 
     def dual(y) -> Optional[tuple]:
@@ -495,7 +499,8 @@ def certify(A, b, c, result: LPResult) -> None:
             return None
         y = [v if s == 1 else Fraction(v) / s for v, s in zip(y, M.scale)]
         Y, den = common_denominator(y)
-        return int_matmul(Y, M.ints, M.bound * max(map(abs, Y), default=0) * m), dot(Y, B), den
+        YA = int_matmul(Y, M.ints, M.bound * max(map(abs, Y), default=0) * m)
+        return YA.tolist(), dot(Y, B), den
 
     def dot(u, v) -> int:
         return sum(p * q for p, q in zip(u, v) if p)

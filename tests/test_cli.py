@@ -157,6 +157,41 @@ class TestErrorHandling:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [('{"mA":2}', "'mB'"), ("[]", "list"), ('{"mA":2,"mB":2,"nA":2,"nB":"2"}', "'nB'")],
+    )
+    def test_malformed_scenario_exits_one(self, runner, spec, field):
+        self._assert_domain_error(runner.invoke(main, ["facets", "--scenario", spec]), field)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ([1, 2], "list"),
+            ({"scenario": {"mA": 2, "mB": 2, "nB": 2}, "p": {}}, "'nA'"),
+            ({"scenario": {"mA": 2, "mB": 2, "nA": 2, "nB": 2}, "p": []}, "'p'"),
+            ({"scenario": {"mA": 2, "mB": 2, "nA": 2, "nB": 2},
+              "p": {"x=1,y=1": {"a=1,b=1": 0.5}}}, "'a=1,b=1'"),
+        ],
+    )
+    def test_malformed_table_exits_one(self, runner, tmp_path, payload, field):
+        path = tmp_path / "corr.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(
+            main, ["membership", "--corr", str(path), "--etaA", "1", "--etaB", "1"]
+        )
+        self._assert_domain_error(result, field)
+
+    @staticmethod
+    def _assert_domain_error(result, field):
+        # Exit 1 through the JSON error handler, not an uncaught exception.
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stderr)
+        assert error["error"] == "ValueError"
+        assert field in error["message"]
+
     def test_usage_error_exits_two(self, runner):
         assert runner.invoke(main, ["membership", "--corr", "pr"]).exit_code == 2
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -62,6 +63,59 @@ def test_rational_parsing():
             rational(value)
     with pytest.raises(ValueError, match="zero denominator"):
         rational("1/0")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers())
+def test_rational_of_an_int_is_a_shared_fraction(n):
+    q = rational(n)
+    assert type(q) is Fraction and q == n and q.denominator == 1
+    assert rational(n) is q  # the one cached instance
+    info = pslocal.core._int_fraction.cache_info()
+    assert info.maxsize == 4096 and info.currsize <= info.maxsize
+
+
+def test_rational_of_a_bool_still_raises():
+    rational(1)  # cached: the bool must not hit the int's entry
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            rational(value)
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"mA": 2}, "'mB'"),
+        ([], "list"),
+        ({"mA": 2, "mB": 2, "nA": "2", "nB": 2}, "'nA'"),
+        ({"mA": 2, "mB": 2, "nA": 2, "nB": 2.0}, "'nB'"),
+        ({"mA": True, "mB": 2, "nA": 2, "nB": 2}, "'mA'"),
+    ],
+)
+def test_malformed_scenario_names_the_field(spec, field):
+    with pytest.raises(ValueError, match=field):
+        Scenario.from_dict(spec)
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ([1, 2], "list"),
+        ({"p": {}}, "'scenario'"),
+        ({"scenario": {"mA": 2, "mB": 2, "nB": 2}, "p": {}}, "'nA'"),
+        ({"scenario": CHSH.to_dict()}, "'p'"),
+        ({"scenario": CHSH.to_dict(), "p": []}, "'p'"),
+        ({"scenario": CHSH.to_dict(), "p": {"x=1,y=1": [1]}}, "'x=1,y=1'"),
+        ({"scenario": CHSH.to_dict(), "p": {"x=1,y=1": {"a=1,b=1": 0.5}}}, "'a=1,b=1'"),
+        ({"scenario": CHSH.to_dict(), "p": {"x=0,y=1": {"a=1,b=1": "1"}}}, "'x=0,y=1'"),
+        ({"scenario": CHSH.to_dict(), "p": {"x=1,y=1": {"a=1,b=3": "1"}}}, "'a=1,b=3'"),
+        ({"scenario": CHSH.to_dict(), "p": {"x=1,y=1": {"a=1": "1"}}}, "'a=1'"),
+        ({"scenario": CHSH.to_dict(), "p": {"x1,y1": {"a=1,b=1": "1"}}}, "'x1,y1'"),
+    ],
+)
+def test_malformed_table_names_the_field(payload, field):
+    with pytest.raises(ValueError, match=field):
+        table_from_json(json.dumps(payload))
 
 
 def test_scenario_dimensions():

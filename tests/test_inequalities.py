@@ -1,8 +1,24 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pslocal.core import CHSH, Efficiencies, named_correlation, to_cg
+import pslocal.inequalities
+from pslocal.core import (
+    CHSH,
+    CGVector,
+    Efficiencies,
+    Scenario,
+    flat_index,
+    flatten,
+    named_correlation,
+    to_cg,
+    to_full,
+)
 from pslocal.errors import DimensionMismatch
 from pslocal.inequalities import (
     THREE_INPUT_L0,
@@ -124,6 +140,59 @@ class TestInequalityAlgebra:
         assert inequality_from_key(CHSH, tripled.key()).key() == ch().key()
 
 
+def _reference_key(ineq):
+    """The canonical key by its definition: the '<=' form (coeffs...,
+    bound - offset) scaled by a positive factor to coprime integers."""
+    sign = 1 if ineq.relation == "<=" else -1
+    values = [sign * v for v in ineq.coeffs + (ineq.bound - ineq.offset,)]
+    den = lcm(*(v.denominator for v in values))
+    ints = [int(v * den) for v in values]
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
+
+
+KEY_ENTRIES = st.one_of(st.integers(-60, 60), st.fractions(-5, 5, max_denominator=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.lists(KEY_ENTRIES, min_size=CHSH.cg_dim + 1, max_size=CHSH.cg_dim + 1),
+    scale=st.integers(1, 6),
+    offset=KEY_ENTRIES,
+    relation=st.sampled_from(["<=", ">="]),
+)
+@example(key=[0] * (CHSH.cg_dim + 1), scale=1, offset=0, relation="<=")
+@example(key=[0] * CHSH.cg_dim + [2], scale=3, offset=F(1, 2), relation=">=")
+@example(key=[-1, 0, -1, 0, 1, 1, 1, -1, 0], scale=1, offset=0, relation="<=")
+@example(key=[F(1, 3)] * (CHSH.cg_dim + 1), scale=2, offset=0, relation="<=")
+def test_key_matches_its_definition(key, scale, offset, relation):
+    # Coprime, non-coprime (scale > 1), zero and Fraction keys; both relations.
+    key = [scale * v for v in key]
+    seeded = inequality_from_key(CHSH, key)
+    assert seeded.key() == _reference_key(seeded)
+    assert seeded == Inequality(CHSH, tuple(key[:-1]), 0, key[-1])
+    assert hash(seeded) == hash(Inequality(CHSH, tuple(key[:-1]), 0, key[-1]))
+    direct = Inequality(CHSH, tuple(key[:-1]), offset, key[-1] + offset, relation)
+    assert direct.key() == _reference_key(direct)
+    assert direct.key() is direct.key()  # computed once
+    assert Inequality.from_dict(direct.to_dict()).key() == direct.key()
+    assert "_key" not in direct.to_dict() and "_key" not in repr(direct)
+    # A replaced field gives a fresh key, never the stored one.
+    for changed in (
+        replace(seeded, relation=">="),
+        replace(seeded, bound=seeded.bound + 1),
+        replace(direct, offset=direct.offset - 1),
+        replace(direct, coeffs=tuple(c + 1 for c in direct.coeffs)),
+    ):
+        assert changed.key() == _reference_key(changed)
+
+
+def test_facet_keys_are_stored_not_recomputed(monkeypatch):
+    facets = enumerate_facets(local_polytope(CHSH.with_no_detection()))
+    monkeypatch.setattr(pslocal.inequalities, "coprime_integers", None)
+    assert [f.key() for f in facets] == [_reference_key(f) for f in facets]
+
+
 class TestFunctionalConversion:
     def test_full_round_trip_chsh(self):
         for ineq in (ch(), ch_eta(Efficiencies.of(F(3, 4), F(4, 5)))):
@@ -197,13 +266,17 @@ def _reference_orbit_keys(ineq, fix_no_detection, include_party_swap):
 
 
 @pytest.fixture(scope="module")
-def a_priori_representatives():
-    """One facet per relabeling orbit of both a-priori polytopes."""
+def a_priori_facets():
+    """The facet lists of both a-priori polytopes."""
     return [
-        orbit["representative"]
-        for s in (CHSH.with_no_detection(), THREE_INPUT_L0)
-        for orbit in _orbit_census(enumerate_facets(local_polytope(s)))
+        enumerate_facets(local_polytope(s)) for s in (CHSH.with_no_detection(), THREE_INPUT_L0)
     ]
+
+
+@pytest.fixture(scope="module")
+def a_priori_representatives(a_priori_facets):
+    """One facet per relabeling orbit of both a-priori polytopes."""
+    return [orbit["representative"] for facets in a_priori_facets for orbit in _orbit_census(facets)]
 
 
 @pytest.mark.parametrize("fix_no_detection", [False, True])
@@ -217,6 +290,107 @@ def test_batched_orbit_search_matches_reference(
         want = _reference_orbit_keys(rep, fix_no_detection, include_party_swap)
         assert list(got.items()) == list(want.items())
         assert all(type(v) is int for k, w in got.items() for v in k + w)
+
+
+def _reference_generators(s, fix_no_detection, include_party_swap):
+    """The relabeling generators written out cell by cell: entry
+    `flat_index(x, y, a, b)` of a generator is the flat index of the image
+    of that cell."""
+    cells = [
+        (x, y, a, b)
+        for x in range(s.mA) for y in range(s.mB) for a in range(s.kA) for b in range(s.kB)
+    ]
+
+    def perm(image):
+        return tuple(flat_index(s, *image(*cell)) for cell in cells)
+
+    def sw(i, v):
+        return i + 1 if v == i else (i if v == i + 1 else v)
+
+    topA = s.kA - 1 if (fix_no_detection and s.no_detection_A) else s.kA
+    topB = s.kB - 1 if (fix_no_detection and s.no_detection_B) else s.kB
+    gens = [perm(lambda x, y, a, b: (sw(i, x), y, a, b)) for i in range(s.mA - 1)]
+    gens += [perm(lambda x, y, a, b: (x, sw(i, y), a, b)) for i in range(s.mB - 1)]
+    gens += [
+        perm(lambda x, y, a, b: (x, y, sw(i, a) if x == x0 else a, b))
+        for x0 in range(s.mA) for i in range(topA - 1)
+    ]
+    gens += [
+        perm(lambda x, y, a, b: (x, y, a, sw(i, b) if y == y0 else b))
+        for y0 in range(s.mB) for i in range(topB - 1)
+    ]
+    if include_party_swap and s.mA == s.mB and s.kA == s.kB:
+        gens.append(perm(lambda x, y, a, b: (y, x, b, a)))
+    return tuple(gens)
+
+
+SCENARIOS = [
+    CHSH,
+    CHSH.with_no_detection(),
+    THREE_INPUT_L0,
+    Scenario(3, 3, 2, 3),
+    Scenario(2, 3, 3, 2, no_detection_A=True),
+]
+SCENARIO_IDS = ["chsh", "chsh-nd", "three-input-l0", "3322-3", "2332-ndA"]
+
+
+@pytest.mark.parametrize("s", SCENARIOS, ids=SCENARIO_IDS)
+def test_generators_match_the_relabelings(s):
+    for fix_no_detection in (False, True):
+        for include_party_swap in (False, True):
+            got = _transposition_perms(s, fix_no_detection, include_party_swap)
+            assert got == _reference_generators(s, fix_no_detection, include_party_swap)
+            assert _transposition_perms(s, fix_no_detection, include_party_swap) is got
+            assert all(type(v) is int for perm in got for v in perm)
+
+
+@pytest.mark.parametrize("s", SCENARIOS, ids=SCENARIO_IDS)
+def test_basis_tables_reconstruct_to_full(s, rng):
+    t0, basis = _cg_basis_tables(s)
+    assert all(type(v) is int for table in (t0, *basis) for v in table)
+    for _ in range(5):
+        coords = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(s.cg_dim)]
+        want = flatten(to_full(CGVector(s, coords), allow_negative=True))
+        got = tuple(t + sum(c * b[i] for c, b in zip(coords, basis)) for i, t in enumerate(t0))
+        assert got == want
+
+
+def _reference_census(facets):
+    """The orbits of a facet list by `orbit_key_set`, in order of their
+    smallest listed key: that key's facet and the number of listed keys in
+    its orbit."""
+    by_key = {f.key(): f for f in facets}
+    done, census = set(), []
+    for k in sorted(by_key):
+        if k not in done:
+            members = orbit_key_set(by_key[k]) & by_key.keys()
+            done |= members
+            census.append((by_key[k], len(members)))
+    return census
+
+
+def test_census_of_lists_not_closed_under_relabeling(a_priori_facets):
+    rng = random.Random(22)
+    l0, three = a_priori_facets
+    partial = (
+        rng.sample(symmetry_orbit(cglmp()), 50)
+        + rng.sample(symmetry_orbit(l0[0]), 5)
+        + rng.sample(l0, 40)
+    )
+    partial += partial[:3]  # repeated members count once
+    rng.shuffle(partial)
+    lists = [
+        [f for i, f in enumerate(l0) if i % 3],  # the smallest key is gone
+        rng.sample(three, len(three) // 2),
+        partial,
+    ]
+    for facets in lists:
+        got = [(o["representative"], o["size"]) for o in _orbit_census(facets)]
+        want = _reference_census(facets)
+        assert got == want
+        assert all(a is b for (a, _), (b, _) in zip(got, want))
+        assert sum(n for _, n in got) == len({f.key() for f in facets})
+        assert any(n < len(orbit_key_set(rep)) for rep, n in got)
 
 
 class TestThresholds:

@@ -2,7 +2,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from pslocal.linprog import (
     certify,
     coprime_integers,
     exact_matrix,
+    int_matmul,
     maximize_over_hrep,
     row_reduce,
     solve_equality_form,
@@ -365,3 +368,41 @@ for eta in (Fraction(2, 3), Fraction(3, 4)):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["optimal rejected", "infeasible rejected"]
+
+
+def _python_product(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        ([[2 ** 53 - 1]], [[1]]),  # float64 BLAS, at its last exact integer
+        ([[2 ** 53 + 1]], [[1]]),  # past it: int64
+        ([[-(2 ** 53 + 1)]], [[-1]]),
+        ([[2 ** 52 + 1, 2 ** 52]], [[1], [1]]),  # the sum passes 2**53
+        ([[2 ** 52 + 1, -(2 ** 52)], [3, -5]], [[-1, 2], [1, 3]]),
+        ([[2 ** 62 + 1, 1]], [[1], [-1]]),  # Python ints
+    ],
+)
+def test_int_matmul_is_exact_around_2_53(A, B):
+    bound = max(abs(v) for row in A for v in row) * max(abs(v) for row in B for v in row) * len(B)
+    got = int_matmul(A, B, bound)
+    assert got.tolist() == _python_product(A, B)
+    assert got.dtype == (object if bound >= 2 ** 62 else np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_matmul_matches_python_ints(data):
+    """Entries near the largest M with M * M * k below 2**53, and near
+    2**31, so that the bound falls just below or just above 2**53."""
+    k = data.draw(st.integers(1, 5))
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    top = data.draw(st.sampled_from([isqrt(2 ** 53 // k) + d for d in (-2, -1, 0, 1, 2)]))
+    entry = st.one_of(st.sampled_from([top, -top, top - 1, -(top - 1)]), st.integers(-top, top))
+    A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    B = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    bound = max(abs(v) for row in A for v in row) * max(abs(v) for row in B for v in row) * k
+    assert int_matmul(A, B, bound).tolist() == _python_product(A, B)
+    assert int_matmul(np.array(A), np.array(B), bound).tolist() == _python_product(A, B)
