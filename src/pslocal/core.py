@@ -13,12 +13,11 @@ Conventions
   (by input, then outcome), Bob first-outcome marginals, then the joint block
   in row-major order (Alice label rows, Bob label columns).
 * A full table flattens to one tuple in (x, y, a, b) row-major order
-  (`flat_index`, `flatten`, `unflatten`); relabelings and functionals on
-  the full table space work on that layout.
-* The detection map of a scenario is cached once as integer 0/1 blocks
-  over that layout (`_detection_map`); `lift`, `postselect` and
-  `lift_numerators` apply it to a table's numerators over one common
-  denominator by one integer product, with the efficiencies as weights.
+  (`flat_index`, `flatten`, `unflatten`).  Only this module knows that
+  layout: per scenario it caches the no-signalling rows, the CG selection,
+  the reconstruction (`_layout`) and the detection map (`_detection_map`)
+  as integer arrays, and a table or functional converts by one exact
+  product with one of them or its transpose (`_lift_keys`: the adjoint).
 """
 
 from __future__ import annotations
@@ -27,19 +26,20 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     EfficiencyMismatch,
+    InvalidSetup,
     NotAProbability,
     SignalingInput,
     UnknownName,
     ZeroEfficiency,
 )
-from .linprog import common_denominator, int_dtype
+from .linprog import common_denominator, int_dtype, int_matmul
 
 RationalLike = Union[int, str, Fraction]
 
@@ -139,26 +139,24 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Scenario":
         counts = [_field(d, name, int, "scenario") for name in ("mA", "mB", "nA", "nB")]
+        flag = lambda name: name in d and _field(d, name, bool, "scenario")
         if "no_detection" in d:
-            nd = bool(d["no_detection"])
-            return cls(*counts, nd, nd)
-        return cls(
-            *counts,
-            bool(d.get("no_detection_A", False)),
-            bool(d.get("no_detection_B", False)),
-        )
+            if "no_detection_A" in d or "no_detection_B" in d:
+                raise ValueError("scenario field 'no_detection' excludes 'no_detection_A' and 'no_detection_B'")
+            return cls(*counts, flag("no_detection"), flag("no_detection"))
+        return cls(*counts, flag("no_detection_A"), flag("no_detection_B"))
 
 
 def _field(d, name: str, kind: type, what: str):
     """``d[name]`` of the parsed JSON object ``what``, checked to be a
-    ``kind`` (int or Mapping; a bool is no int): a ValueError names the
-    missing or ill-typed field."""
+    ``kind`` (int, bool or Mapping; a bool is no int): a ValueError names
+    the missing or ill-typed field."""
     if not isinstance(d, Mapping):
         raise ValueError(f"{what} must be a JSON object, not {type(d).__name__}")
     if name not in d:
         raise ValueError(f"{what} lacks the field {name!r}")
     if not isinstance(d[name], kind) or (kind is int and isinstance(d[name], bool)):
-        expected = "an int" if kind is int else "a JSON object"
+        expected = {int: "an int", bool: "true or false"}.get(kind, "a JSON object")
         raise ValueError(f"{what} field {name!r} must be {expected}, not {type(d[name]).__name__}")
     return d[name]
 
@@ -214,14 +212,6 @@ class JointTable:
                             if v < 0 or v > 1:
                                 raise NotAProbability(f"entry {v} outside [0, 1]")
 
-    def marginal_A(self, x: int, a: int, y: int = 0) -> Fraction:
-        """P_A(a|x), computed from the given Bob input (default 0)."""
-        return sum(self.p[x][y][a])
-
-    def marginal_B(self, y: int, b: int, x: int = 0) -> Fraction:
-        """P_B(b|y), computed from the given Alice input (default 0)."""
-        return sum(row[b] for row in self.p[x][y])
-
     def is_proper(self) -> bool:
         """True when every entry lies in [0, 1]."""
         return all(
@@ -255,20 +245,6 @@ class CGVector:
         object.__setattr__(self, "coords", coords)
 
 
-def cg_index_marginal_A(s: Scenario, x: int, a: int) -> int:
-    return x * (s.kA - 1) + a
-
-
-def cg_index_marginal_B(s: Scenario, y: int, b: int) -> int:
-    return s.mA * (s.kA - 1) + y * (s.kB - 1) + b
-
-
-def cg_index_joint(s: Scenario, x: int, a: int, y: int, b: int) -> int:
-    alpha = s.mA * (s.kA - 1)
-    beta = s.mB * (s.kB - 1)
-    return alpha + beta + (x * (s.kA - 1) + a) * beta + (y * (s.kB - 1) + b)
-
-
 def flat_index(s: Scenario, x: int, y: int, a: int, b: int) -> int:
     """Position of P(a,b|x,y) in the flat layout of a full table."""
     return ((x * s.mB + y) * s.kA + a) * s.kB + b
@@ -296,42 +272,64 @@ def unflatten(s: Scenario, flat: Sequence, allow_negative: bool = False) -> Join
     return JointTable(s, entries, allow_negative=allow_negative)
 
 
+class _Layout(NamedTuple):
+    """A scenario's flat table p as integer maps, each applied by one exact product (`_apply`)."""
+
+    ns: np.ndarray  # ns @ p == 0 iff p is no-signalling
+    cg: np.ndarray  # cg @ p = the CG coordinates of p (`to_cg`)
+    full: np.ndarray  # full @ (1, cg(p)) = p (`to_full`): the reconstruction
+
+
+@lru_cache(maxsize=None)
+def _layout(s: Scenario) -> _Layout:
+    """The maps of `_Layout`, built once per scenario.  ``ns`` holds the
+    differences of each marginal from its value at the first remote input;
+    ``cg`` picks the marginals at the first remote input and the joint
+    cells of all outcomes but the last.  Block (x, y) of ``full`` is
+    S_A^-1 G S_B^-T: G = [[1, P_B(.|y)], [P_A(.|x), p(., .|x, y)]] over
+    (1, coords), and S^-1 inverts outcomes -> (total, first outcomes)."""
+    mA, mB, kA, kB, n, dim = s.mA, s.mB, s.kA, s.kB, flat_size(s), s.cg_dim
+    cells = np.eye(n, dtype=np.int64).reshape(mA, mB, kA, kB, n)
+    marg_A, marg_B = cells.sum(axis=3), cells.sum(axis=2)
+    ns = [marg_A[:, 1:] - marg_A[:, :1], marg_B[1:] - marg_B[:1]]
+    cg = [marg_A[:, 0, :-1], marg_B[0, :, :-1], cells[:, :, :-1, :-1].transpose(0, 2, 1, 3, 4)]
+    alpha, beta = mA * (kA - 1), mB * (kB - 1)
+    col = np.zeros((mA, mB, kA, kB), dtype=np.intp)  # G's entries as columns of (1, coords)
+    col[:, :, 1:, 0] = 1 + np.arange(alpha).reshape(mA, 1, kA - 1)
+    col[:, :, 0, 1:] = 1 + alpha + np.arange(beta).reshape(mB, kB - 1)
+    joint = 1 + alpha + beta + np.arange(alpha * beta)
+    col[:, :, 1:, 1:] = joint.reshape(mA, kA - 1, mB, kB - 1).transpose(0, 2, 1, 3)
+
+    def inv(k: int) -> np.ndarray:  # rows e_1, ..., e_k-1, then e_0 - e_1 - ... - e_k-1
+        e = np.eye(k, dtype=np.int64)
+        return np.vstack([e[1:], 2 * e[:1] - 1])
+
+    G = np.eye(dim + 1, dtype=np.int64)[col]
+    full = np.einsum("ai,xyijc,bj->xyabc", inv(kA), G, inv(kB)).reshape(n, dim + 1)
+    stack = lambda blocks: np.concatenate([b.reshape(-1, n) for b in blocks])
+    return _Layout(stack(ns), stack(cg), full)
+
+
+def _apply(M: np.ndarray, v: Sequence[int]) -> list:
+    """M @ v, exactly, for an integer matrix M and a list of ints
+    (`int_matmul`, bounded by max|v| * max|M| * len(v))."""
+    bound = max(map(abs, v), default=0) * int(np.abs(M).max(initial=0)) * len(v)
+    return int_matmul(M, v, bound).tolist()
+
+
 def is_nonsignaling(t: JointTable) -> bool:
     """Exact check that both marginals are independent of the remote input."""
-    s = t.scenario
-    for x in range(s.mA):
-        for a in range(s.kA):
-            ref = t.marginal_A(x, a, y=0)
-            for y in range(1, s.mB):
-                if t.marginal_A(x, a, y=y) != ref:
-                    return False
-    for y in range(s.mB):
-        for b in range(s.kB):
-            ref = t.marginal_B(y, b, x=0)
-            for x in range(1, s.mA):
-                if t.marginal_B(y, b, x=x) != ref:
-                    return False
-    return True
+    nums, _ = common_denominator(flatten(t))
+    return not any(_apply(_layout(t.scenario).ns, nums))
 
 
 def to_cg(t: JointTable) -> CGVector:
     """Collins-Gisin coordinates of a no-signaling table (exact)."""
-    if not is_nonsignaling(t):
-        raise SignalingInput("table is signaling; CG coordinates undefined")
     s = t.scenario
-    coords = []
-    for x in range(s.mA):
-        for a in range(s.kA - 1):
-            coords.append(t.marginal_A(x, a))
-    for y in range(s.mB):
-        for b in range(s.kB - 1):
-            coords.append(t.marginal_B(y, b))
-    for x in range(s.mA):
-        for a in range(s.kA - 1):
-            for y in range(s.mB):
-                for b in range(s.kB - 1):
-                    coords.append(t.p[x][y][a][b])
-    return CGVector(s, tuple(coords))
+    nums, den = common_denominator(flatten(t))
+    if any(_apply(_layout(s).ns, nums)):
+        raise SignalingInput("table is signaling; CG coordinates undefined")
+    return CGVector(s, tuple(Fraction(v, den) for v in _apply(_layout(s).cg, nums)))
 
 
 def to_full(v: CGVector, allow_negative: bool = False) -> JointTable:
@@ -340,30 +338,9 @@ def to_full(v: CGVector, allow_negative: bool = False) -> JointTable:
     Raises NotAProbability when a reconstructed entry leaves [0, 1], unless
     ``allow_negative`` is set.
     """
-    s = v.scenario
-    kA, kB = s.kA, s.kB
-    entries = []
-    for x in range(s.mA):
-        row = []
-        for y in range(s.mB):
-            block = [[ZERO] * kB for _ in range(kA)]
-            for a in range(kA - 1):
-                for b in range(kB - 1):
-                    block[a][b] = v.coords[cg_index_joint(s, x, a, y, b)]
-            for a in range(kA - 1):
-                block[a][kB - 1] = v.coords[cg_index_marginal_A(s, x, a)] - sum(
-                    block[a][:-1]
-                )
-            for b in range(kB - 1):
-                block[kA - 1][b] = v.coords[cg_index_marginal_B(s, y, b)] - sum(
-                    block[a][b] for a in range(kA - 1)
-                )
-            block[kA - 1][kB - 1] = 1 - sum(
-                block[a][b] for a in range(kA) for b in range(kB)
-            )
-            row.append(block)
-        entries.append(row)
-    return JointTable(s, entries, allow_negative=allow_negative)
+    nums, den = common_denominator(v.coords)
+    flat = _apply(_layout(v.scenario).full, [den, *nums])
+    return unflatten(v.scenario, [Fraction(u, den) for u in flat], allow_negative)
 
 
 @dataclass(frozen=True, order=True)
@@ -389,18 +366,18 @@ class Efficiencies:
 def _detection_map(s: Scenario) -> tuple:
     """The detection map of a conclusive scenario as integer 0/1 blocks
     over its flat table (`flat_index`): (select, ns, lifted, cg).
-    ``select`` stacks ``ns`` no-signalling difference rows, then per
+    ``select`` stacks the ``ns`` no-signalling rows of `_layout`, then per
     setting pair Alice's marginals, Bob's marginals and the joint cells.
     ``lifted`` and ``cg`` pair each entry of the lifted table (flat order)
     and of its CG coordinates with its entry of ``select @ p`` (a constant
-    1 appended) and its weight (`_detect`)."""
+    1 appended) and its weight (`_weights`)."""
     mA, mB, nA, nB, n = s.mA, s.mB, s.nA, s.nB, flat_size(s)
     cells = np.eye(n, dtype=np.int64).reshape(mA, mB, nA, nB, n)
-    marg_A, marg_B = cells.sum(axis=3), cells.sum(axis=2)
-    blocks = [marg_A[:, 1:] - marg_A[:, :1], marg_B[1:] - marg_B[:1], marg_A, marg_B, cells]
-    select = np.concatenate([b.reshape(-1, n) for b in blocks])
-    ends = np.cumsum([b.size // n for b in blocks])
-    i_A, i_B, i_J = (np.arange(ends[k - 1], ends[k]).reshape(blocks[k].shape[:-1]) for k in (2, 3, 4))
+    ns = _layout(s).ns
+    blocks = [cells.sum(axis=3), cells.sum(axis=2), cells]
+    select = np.concatenate([ns] + [b.reshape(-1, n) for b in blocks])
+    ends = np.cumsum([len(ns)] + [b.size // n for b in blocks])
+    i_A, i_B, i_J = (np.arange(ends[k], ends[k + 1]).reshape(blocks[k].shape[:-1]) for k in range(3))
     # Lifted cells: eA*eB p, eA*(1-eB) P_A, (1-eA)*eB P_B and (1-eA)*(1-eB).
     src = np.full((mA, mB, nA + 1, nB + 1), len(select))
     weight = np.full_like(src, 3)
@@ -411,7 +388,14 @@ def _detection_map(s: Scenario) -> tuple:
     cg = [i_A[:, 0], i_B[0], i_J.transpose(0, 2, 1, 3)]
     cg_weight = np.repeat([4, 5, 0], [i.size for i in cg])
     pairs = lambda i, w: tuple(zip(i.ravel().tolist(), w.ravel().tolist()))
-    return select, int(ends[1]), pairs(src, weight), pairs(np.concatenate([i.ravel() for i in cg]), cg_weight)
+    return select, len(ns), pairs(src, weight), pairs(np.concatenate([i.ravel() for i in cg]), cg_weight)
+
+
+def _weights(eff: Efficiencies) -> Tuple[tuple, int]:
+    """The detection map's weights eA*eB, eA*(1-eB), (1-eA)*eB,
+    (1-eA)*(1-eB), eA and eB as integers over one denominator da * db."""
+    a, da, b, db = eff.etaA.numerator, eff.etaA.denominator, eff.etaB.numerator, eff.etaB.denominator
+    return (a * b, a * (db - b), (da - a) * b, (da - a) * (db - b), a * db, da * b), da * db
 
 
 def _detect(s: Scenario, P: list, D: int, eff: Efficiencies, cg: bool) -> Tuple[bool, list, int]:
@@ -422,10 +406,46 @@ def _detect(s: Scenario, P: list, D: int, eff: Efficiencies, cg: bool) -> Tuple[
     select, ns, lifted, cg_pairs = _detection_map(s)
     dtype = int_dtype(max(map(abs, P)) * len(P))
     v = (select.astype(dtype, copy=False) @ np.array(P, dtype=dtype)).tolist() + [D]
-    a, da, b, db = eff.etaA.numerator, eff.etaA.denominator, eff.etaB.numerator, eff.etaB.denominator
-    # eA*eB, eA*(1-eB), (1-eA)*eB, (1-eA)*(1-eB), eA, eB over da * db.
-    w = (a * b, a * (db - b), (da - a) * b, (da - a) * (db - b), a * db, da * b)
-    return not any(v[:ns]), [v[i] * w[k] for i, k in (cg_pairs if cg else lifted)], D * da * db
+    w, den = _weights(eff)
+    return not any(v[:ns]), [v[i] * w[k] for i, k in (cg_pairs if cg else lifted)], D * den
+
+
+@lru_cache(maxsize=None)
+def _lift_blocks(s0: Scenario) -> np.ndarray:
+    """The adjoint of the detection map on CG functionals of s0, one
+    integer block per weight of the lifted cells (`_lift_keys`)."""
+    s, two = s0.conclusive(), s0.conclusive().with_no_detection()
+    select, _, lifted, _ = _detection_map(s)
+    # The CG selection of s0 over the two-sided table: a side without a
+    # no-detection outcome misses those cells, whose weight is 0 at eta = 1.
+    cg0 = np.zeros((s0.cg_dim, flat_size(two)), dtype=np.int64)
+    cg0[:, flat_index(two, *np.indices((s0.mA, s0.mB, s0.kA, s0.kB)).reshape(4, -1))] = _layout(s0).cg
+    # (p, 1) -> select @ p and 1, and (1, cg(p)) -> (p, 1).
+    ext = np.zeros((len(select) + 1, flat_size(s) + 1), dtype=np.int64)
+    ext[:-1, :-1], ext[-1, -1] = select, 1
+    full = np.vstack([_layout(s).full, np.eye(1, s.cg_dim + 1, dtype=np.int64)])
+    src, weight = np.array(lifted).T
+    blocks = np.zeros((4, s0.cg_dim + 1, s.cg_dim + 1), dtype=np.int64)
+    for k, block in enumerate(blocks):
+        M = cg0 @ np.where((weight == k)[:, None], ext[src], 0) @ full
+        block[:-1, :-1], block[:-1, -1] = M[:, 1:], -M[:, 0]
+    return blocks
+
+
+def _lift_keys(s0: Scenario, keys: Sequence[Sequence[int]], eff: Efficiencies) -> np.ndarray:
+    """Keys (c, r) of inequalities c . cg(p0) <= r on the a-priori s0 as
+    keys of c . cg(lift(p)) <= r times da * db (`_weights`): one product with
+    the detection map's adjoint T, the `_lift_blocks` weighted by `_weights`."""
+    if not s0.no_detection_A and eff.etaA != 1:
+        raise InvalidSetup("etaA < 1 requires a no-detection outcome on Alice's side")
+    if not s0.no_detection_B and eff.etaB != 1:
+        raise InvalidSetup("etaB < 1 requires a no-detection outcome on Bob's side")
+    w, den = _weights(eff)
+    blocks = _lift_blocks(s0)
+    bound = 4 * max(w) * int(np.abs(blocks).max())  # bounds |T|, den included
+    T = sum(wk * block for wk, block in zip(w, blocks.astype(int_dtype(bound))))
+    T[-1, -1] = den
+    return int_matmul(keys, T, max(abs(v) for key in keys for v in key) * bound * len(T))
 
 
 def lift_numerators(pps: JointTable, eff: Efficiencies, cg: bool = False) -> Tuple[list, int]:

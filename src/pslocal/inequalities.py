@@ -13,9 +13,9 @@ Relabeling symmetries (input permutations, per-observable outcome
 permutations, party exchange) act on inequalities through their full-table
 coefficient representation (the flat layout of `core.flat_index`); the
 conversion back to Collins-Gisin coordinates is canonical on the
-no-signaling subspace.  The generators and the integer reconstruction
-tables are built once per scenario; the orbit search keys a whole level by
-one exact product (`linprog.int_matmul`: float64 BLAS below 2**53).
+no-signaling subspace; both are transposes of `core._layout`'s maps.  The
+generators are built once per scenario; the orbit search keys a whole
+level by one exact product (`linprog.int_matmul`: float64 BLAS below 2**53).
 """
 
 from __future__ import annotations
@@ -34,16 +34,14 @@ from .core import (
     Efficiencies,
     JointTable,
     Scenario,
-    cg_index_joint,
-    cg_index_marginal_A,
-    cg_index_marginal_B,
-    flat_index,
+    _apply,
+    _layout,
     flat_size,
     rational,
     to_cg,
 )
 from .errors import DimensionMismatch
-from .linprog import coprime_integers, coprime_rows, int_dtype, int_matmul
+from .linprog import common_denominator, coprime_integers, coprime_rows, int_dtype, int_matmul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -349,73 +347,29 @@ def thresholds(eff: Efficiencies) -> ThresholdReport:
 # Functional representation on the full table space
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _cg_basis_tables(s: Scenario) -> tuple:
-    """Flattened integer tables of to_full(0) and to_full(e_i) - to_full(0).
-
-    Used to convert a full-table functional back to its canonical CG form:
-    the reconstruction map is affine with integer coefficients.  Block
-    (x, y) is S_A^-1 G S_B^-T: G = [[1, P_B(.|y)], [P_A(.|x), p(., .|x, y)]]
-    over (1, coords), and S^-1 inverts outcomes -> (total, first outcomes).
-    """
-    mA, mB, kA, kB, dim = s.mA, s.mB, s.kA, s.kB, s.cg_dim
-    nA, nB = mA * (kA - 1), mB * (kB - 1)
-    col = np.zeros((mA, mB, kA, kB), dtype=np.intp)  # G's entries as columns of (1, coords)
-    col[:, :, 1:, 0] = 1 + np.arange(nA).reshape(mA, 1, kA - 1)
-    col[:, :, 0, 1:] = 1 + nA + np.arange(nB).reshape(mB, kB - 1)
-    joint = 1 + nA + nB + np.arange(nA * nB)
-    col[:, :, 1:, 1:] = joint.reshape(mA, kA - 1, mB, kB - 1).transpose(0, 2, 1, 3)
-
-    def inv(k: int) -> np.ndarray:  # rows e_1, ..., e_k-1, then e_0 - e_1 - ... - e_k-1
-        e = np.eye(k, dtype=np.int64)
-        return np.vstack([e[1:], 2 * e[:1] - 1])
-
-    G = np.eye(dim + 1, dtype=np.int64)[col]
-    flat = np.einsum("ai,xyijc,bj->xyabc", inv(kA), G, inv(kB)).reshape(-1, dim + 1)
-    return tuple(flat[:, 0].tolist()), tuple(map(tuple, flat[:, 1:].T.tolist()))
-
-
 def functional_to_full(ineq: Inequality) -> tuple:
-    """A full-table coefficient representation (w, const) of the functional.
+    """A full-table coefficient representation (w, const) of the functional:
+    w is the transpose of the CG selection (`core._layout`) times its
+    coefficients.
 
     The representation is not unique (marginals are expanded at the first
     remote input); equality of functionals must be checked after converting
     back with :func:`functional_from_full`.
     """
-    s = ineq.scenario
-    w = [ZERO] * flat_size(s)
-    for x in range(s.mA):
-        for a in range(s.kA - 1):
-            c = ineq.coeffs[cg_index_marginal_A(s, x, a)]
-            if c:
-                for b in range(s.kB):
-                    w[flat_index(s, x, 0, a, b)] += c
-    for y in range(s.mB):
-        for b in range(s.kB - 1):
-            c = ineq.coeffs[cg_index_marginal_B(s, y, b)]
-            if c:
-                for a in range(s.kA):
-                    w[flat_index(s, 0, y, a, b)] += c
-    for x in range(s.mA):
-        for a in range(s.kA - 1):
-            for y in range(s.mB):
-                for b in range(s.kB - 1):
-                    c = ineq.coeffs[cg_index_joint(s, x, a, y, b)]
-                    if c:
-                        w[flat_index(s, x, y, a, b)] += c
-    return tuple(w), ineq.offset
+    nums, den = common_denominator(ineq.coeffs)
+    w = _apply(_layout(ineq.scenario).cg.T, nums)
+    return tuple(Fraction(v, den) for v in w), ineq.offset
 
 
 def functional_from_full(
     s: Scenario, w: Sequence, const, bound, relation: str = "<="
 ) -> Inequality:
     """Restrict a full-table functional to the no-signaling subspace and
-    express it canonically in CG coordinates."""
-    t0, basis = _cg_basis_tables(s)
-    const = rational(const)
-    offset = const + sum(wi * ti for wi, ti in zip(w, t0) if ti)
-    coeffs = tuple(sum(wi * ti for wi, ti in zip(w, bi) if ti) for bi in basis)
-    return Inequality(s, coeffs, offset, rational(bound), relation)
+    express it canonically in CG coordinates: the transpose of the
+    reconstruction (`core._layout`) times w."""
+    nums, den = common_denominator(w)
+    offset, *coeffs = (Fraction(v, den) for v in _apply(_layout(s).full.T, nums))
+    return Inequality(s, tuple(coeffs), rational(const) + offset, rational(bound), relation)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +419,7 @@ def _orbit_keys(
     Breadth-first over the generators, one level at a time: the frontier's
     full-table functionals F are permuted by every generator at once
     (F[:, perms]) and keyed by one exact integer product (`int_matmul`)
-    with the `_cg_basis_tables`, bounded by max|w| * max|table| * len(w) +
+    with the reconstruction of `core._layout`, bounded by max|w| * max|full| * len(w) +
     |rhs| (a relabeling keeps max|w|).  Keys are visited in (functional,
     generator) order, so each key keeps its first-found witness and the
     dict's order is that of the one-at-a-time search.
@@ -473,21 +427,18 @@ def _orbit_keys(
     s = ineq.scenario
     if include_party_swap is None:
         include_party_swap = s.mA == s.mB and s.kA == s.kB
-    t0, basis = _cg_basis_tables(s)
-
+    _, cg, full = _layout(s)
     key0 = ineq.key()
     rhs0 = key0[-1]
-    w0, _ = functional_to_full(inequality_from_key(s, key0))
-    w0 = tuple(int(c) for c in w0)
+    w0 = _apply(cg.T, key0[:-1])
     perms = _transposition_perms(s, fix_no_detection, include_party_swap)
     perms = np.array(perms, dtype=np.intp).reshape(-1, len(w0))
-    tables = np.array((t0, *basis)).T
-    bound = max(map(abs, w0)) * int(np.abs(tables).max()) * len(w0) + abs(rhs0)
+    bound = max(map(abs, w0)) * int(np.abs(full).max()) * len(w0) + abs(rhs0)
 
     seen = {}
     level = np.array([w0], dtype=int_dtype(bound))
     while len(level):
-        values = int_matmul(level, tables, bound)
+        values = int_matmul(level, full, bound)
         keys = coprime_rows(np.column_stack([values[:, 1:], rhs0 - values[:, 0]]))
         fresh = {}
         for i, k in enumerate(map(tuple, keys.tolist())):

@@ -33,6 +33,7 @@ from .core import (
     Efficiencies,
     JointTable,
     Scenario,
+    _layout,
     flat_index,
     flat_size,
     lift_numerators,
@@ -41,12 +42,12 @@ from .core import (
 )
 from .dd import extreme_rays, facets_of_polytope
 from .errors import CertificateInvalid, DimensionMismatch, SizeLimit
-from .inequalities import Inequality, _cg_basis_tables, inequality_from_key
+from .inequalities import Inequality, inequality_from_key
 from .linprog import (
     OPTIMAL,
     ExactMatrix,
     common_denominator,
-    coprime_integers,
+    coprime_rows,
     exact_matrix,
     int_dtype,
     maximize_over_hrep,
@@ -247,10 +248,10 @@ def verify_facet(ineq: Inequality, poly: PolytopeRep) -> dict:
 def ns_hrep(s: Scenario) -> PolytopeRep:
     """H-representation of the non-signaling polytope in CG coordinates:
     positivity of every reconstructed probability."""
-    t0, basis = _cg_basis_tables(s)
+    full = _layout(s).full
     # One coprime key per table entry; entries fixed to zero by the
     # scenario would repeat.
-    keys = {coprime_integers([-bj[i] for bj in basis] + [t0[i]]) for i in range(len(t0))}
+    keys = set(map(tuple, coprime_rows(np.column_stack([-full[:, 1:], full[:, 0]])).tolist()))
     facets = [inequality_from_key(s, k) for k in sorted(keys)]
     return PolytopeRep(s, facets=facets, _dim=s.cg_dim)
 

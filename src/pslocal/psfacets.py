@@ -2,7 +2,8 @@
 
 This module carries the derivation pipeline: every facet of the local
 a-priori polytope, rewritten through the detection model, yields a valid
-inequality for the post-selected local polytope L_ps(etaA, etaB).  The
+inequality for the post-selected local polytope L_ps(etaA, etaB) (one
+integer product with the detection map's adjoint, `core._lift_keys`).  The
 resulting inequalities are sorted into families (trivial, the two bounds
 of the efficiency-weighted CH expression, the implied CGLMP-derived form,
 or genuinely new), and the algebraic identities behind the facet
@@ -26,6 +27,7 @@ from .core import (
     Efficiencies,
     JointTable,
     Scenario,
+    _lift_keys,
     flat_index,
     flat_size,
     to_cg,
@@ -35,8 +37,8 @@ from .core import (
 from .errors import (
     BudgetExceeded,
     CertificateInvalid,
+    DimensionMismatch,
     IdentityFailed,
-    InvalidSetup,
     PreconditionFailed,
     ThresholdViolated,
 )
@@ -57,7 +59,7 @@ from .inequalities import (
     orbit_key_set,
     thresholds,
 )
-from .linprog import INFEASIBLE, OPTIMAL, exact_matrix, solve_lp, with_rows
+from .linprog import INFEASIBLE, OPTIMAL, common_denominator, coprime_rows, exact_matrix, solve_lp, with_rows
 from .polytope import (
     affine_rank,
     enumerate_facets,
@@ -102,36 +104,14 @@ def lift_functional(facet: Inequality, eff: Efficiencies) -> Inequality:
     Substitutes the detection model into the facet's functional: the
     conclusive block picks up a factor etaA*etaB, single-no-detection
     entries reduce to scaled marginals of the post-selected correlation,
-    and the double-no-detection entries contribute constants.
+    and the double-no-detection entries contribute constants.  The row
+    (coeffs, -offset) lifts to the same row of the result (`core._lift_keys`).
     """
-    s0 = facet.scenario
-    if not s0.no_detection_A and eff.etaA != 1:
-        raise InvalidSetup(
-            "etaA < 1 requires a no-detection outcome on Alice's side"
-        )
-    if not s0.no_detection_B and eff.etaB != 1:
-        raise InvalidSetup(
-            "etaB < 1 requires a no-detection outcome on Bob's side"
-        )
-    sps = s0.conclusive()
-    a, b = eff.etaA, eff.etaB
-    w0, const = functional_to_full(facet)
-    w = []
-    for x in range(sps.mA):
-        for y in range(sps.mB):
-            for aa in range(sps.kA):
-                for bb in range(sps.kB):
-                    v = a * b * w0[flat_index(s0, x, y, aa, bb)]
-                    if s0.no_detection_B:
-                        v += a * (1 - b) * w0[flat_index(s0, x, y, aa, s0.kB - 1)]
-                    if s0.no_detection_A:
-                        v += (1 - a) * b * w0[flat_index(s0, x, y, s0.kA - 1, bb)]
-                    w.append(v)
-            if s0.no_detection_A and s0.no_detection_B:
-                const += (1 - a) * (1 - b) * w0[
-                    flat_index(s0, x, y, s0.kA - 1, s0.kB - 1)
-                ]
-    return functional_from_full(sps, w, const, facet.bound, facet.relation)
+    nums, den = common_denominator(facet.coeffs + (-facet.offset,))
+    *coeffs, minus_offset = _lift_keys(facet.scenario, [nums], eff)[0].tolist()
+    den *= eff.etaA.denominator * eff.etaB.denominator
+    coeffs, offset = tuple(Fraction(c, den) for c in coeffs), Fraction(-minus_offset, den)
+    return Inequality(facet.scenario.conclusive(), coeffs, offset, facet.bound, facet.relation)
 
 
 @lru_cache(maxsize=None)
@@ -175,28 +155,26 @@ def classify(ineq: Inequality, eff: Efficiencies) -> Classification:
 def derive(
     eff: Efficiencies, l0_facets: Sequence[Inequality]
 ) -> List[DerivedInequality]:
-    """The full pipeline: lift every a-priori facet, deduplicate, classify.
+    """The full pipeline: lift every a-priori facet (one product of their
+    keys, `core._lift_keys`), deduplicate, classify.
 
     Returns deduplicated inequalities in canonical key order; duplicates
     are recorded through the multiplicity field.
     """
+    if not l0_facets:
+        return []
+    s0 = l0_facets[0].scenario
+    if any(f.scenario != s0 for f in l0_facets):
+        raise DimensionMismatch("facets over different scenarios")
+    keys = coprime_rows(_lift_keys(s0, [f.key() for f in l0_facets], eff))
     by_key: Dict[tuple, list] = {}
-    for facet in l0_facets:
-        lifted = lift_functional(facet, eff)
-        by_key.setdefault(lifted.key(), []).append(facet)
-    out = []
-    for key in sorted(by_key):
-        sources = by_key[key]
-        result = inequality_from_key(sources[0].scenario.conclusive(), key)
-        out.append(
-            DerivedInequality(
-                source=sources[0],
-                result=result,
-                classification=classify(result, eff),
-                multiplicity=len(sources),
-            )
-        )
-    return out
+    for facet, key in zip(l0_facets, map(tuple, keys.tolist())):
+        by_key.setdefault(key, []).append(facet)
+    results = {key: inequality_from_key(s0.conclusive(), key) for key in sorted(by_key)}
+    return [
+        DerivedInequality(by_key[key][0], result, classify(result, eff), len(by_key[key]))
+        for key, result in results.items()
+    ]
 
 
 def classification_census(derived: Sequence[DerivedInequality]) -> Dict[str, dict]:

@@ -23,6 +23,7 @@ from .core import (
     Efficiencies,
     JointTable,
     Scenario,
+    _layout,
     flat_size,
     flatten,
     slice_point,
@@ -92,21 +93,8 @@ class FloatTable:
         return float(self.p[x][y][:, b].sum())
 
     def cg_coords(self) -> np.ndarray:
-        s = self.scenario
-        coords = [
-            self.marginal_A(x, a) for x in range(s.mA) for a in range(s.kA - 1)
-        ]
-        coords += [
-            self.marginal_B(y, b) for y in range(s.mB) for b in range(s.kB - 1)
-        ]
-        coords += [
-            float(self.p[x][y][a][b])
-            for x in range(s.mA)
-            for a in range(s.kA - 1)
-            for y in range(s.mB)
-            for b in range(s.kB - 1)
-        ]
-        return np.array(coords)
+        """The Collins-Gisin coordinates: the CG selection of `core._layout`."""
+        return _layout(self.scenario).cg @ self.p.ravel()
 
     def max_signaling(self) -> float:
         s = self.scenario

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -37,3 +38,23 @@ def test_summary_counts_wins_and_gain():
 def test_gain_and_bound_follow_the_medians(change, gain, within):
     entry = bench_pairs.summarize(_runs([6, 5, 6, 7], change), SPEC)["membership"]["op_p50_ref_s"]
     assert entry["gain"] == gain and entry["within_bound"] == within
+
+
+def test_a_failed_run_is_recorded_not_raised(monkeypatch):
+    stderr = "Traceback ...\nStatisticsError: no median for empty data\n"
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run",
+        lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1, stdout="", stderr=stderr),
+    )
+    failed = bench_pairs.run_once("tree", seed=1, seconds=30)
+    assert failed == {"exit_code": 1, "stderr_tail": stderr}
+
+    runs = _runs([6, 5, 6, 7, 6], [3, 3, 6, 2, 3])
+    runs[1]["change"] = failed
+    summary = bench_pairs.summarize(runs, SPEC)
+    assert summary["failed_runs"] == {"parent": 0, "change": 1}
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    entry = summary["membership"]["op_p50_ref_s"]
+    assert entry["pairs"] == 4  # the pair with the failed run is left out
+    assert entry["parent"] == {"median": 6, "q1": 6, "q3": 6.25}
+    assert entry["change_wins"] == 3

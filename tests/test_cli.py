@@ -159,7 +159,15 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "spec, field",
-        [('{"mA":2}', "'mB'"), ("[]", "list"), ('{"mA":2,"mB":2,"nA":2,"nB":"2"}', "'nB'")],
+        [
+            ('{"mA":2}', "'mB'"),
+            ("[]", "list"),
+            ('{"mA":2,"mB":2,"nA":2,"nB":"2"}', "'nB'"),
+            ('{"mA":2,"mB":2,"nA":2,"nB":2,"no_detection":"false"}', "'no_detection'"),
+            ('{"mA":2,"mB":2,"nA":2,"nB":2,"no_detection_B":[0]}', "'no_detection_B'"),
+            ('{"mA":2,"mB":2,"nA":2,"nB":2,"no_detection":true,"no_detection_A":false}',
+             "'no_detection'"),
+        ],
     )
     def test_malformed_scenario_exits_one(self, runner, spec, field):
         self._assert_domain_error(runner.invoke(main, ["facets", "--scenario", spec]), field)

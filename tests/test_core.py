@@ -90,11 +90,25 @@ def test_rational_of_a_bool_still_raises():
         ({"mA": 2, "mB": 2, "nA": "2", "nB": 2}, "'nA'"),
         ({"mA": 2, "mB": 2, "nA": 2, "nB": 2.0}, "'nB'"),
         ({"mA": True, "mB": 2, "nA": 2, "nB": 2}, "'mA'"),
+        ({"mA": 2, "mB": 2, "nA": 2, "nB": 2, "no_detection": "false"}, "'no_detection'"),
+        ({"mA": 2, "mB": 2, "nA": 2, "nB": 2, "no_detection_B": [0]}, "'no_detection_B'"),
+        ({"mA": 2, "mB": 2, "nA": 2, "nB": 2, "no_detection_A": 1}, "'no_detection_A'"),
+        ({"mA": 2, "mB": 2, "nA": 2, "nB": 2, "no_detection": True, "no_detection_A": True},
+         "'no_detection'"),
     ],
 )
 def test_malformed_scenario_names_the_field(spec, field):
     with pytest.raises(ValueError, match=field):
         Scenario.from_dict(spec)
+
+
+def test_scenario_flags_are_json_booleans():
+    counts = {"mA": 2, "mB": 2, "nA": 2, "nB": 2}
+    assert Scenario.from_dict(counts) == CHSH
+    assert Scenario.from_dict({**counts, "no_detection": False}) == CHSH
+    assert Scenario.from_dict({**counts, "no_detection": True}) == CHSH.with_no_detection()
+    assert Scenario.from_dict({**counts, "no_detection_B": True}) == Scenario(2, 2, 2, 2, no_detection_B=True)
+    assert Scenario.from_dict(CHSH.with_no_detection().to_dict()) == CHSH.with_no_detection()
 
 
 @pytest.mark.parametrize(

@@ -13,17 +13,16 @@ from pslocal.core import (
     CGVector,
     Efficiencies,
     Scenario,
+    _layout,
     flat_index,
     flatten,
     named_correlation,
     to_cg,
-    to_full,
 )
 from pslocal.errors import DimensionMismatch
 from pslocal.inequalities import (
     THREE_INPUT_L0,
     Inequality,
-    _cg_basis_tables,
     _orbit_keys,
     _transposition_perms,
     canonical_form,
@@ -46,6 +45,7 @@ from pslocal.linprog import coprime_integers
 from pslocal.polytope import enumerate_facets, enumerate_vertices, local_polytope
 from pslocal.psfacets import _orbit_census
 
+import reference_maps
 from conftest import random_local_table
 
 F = Fraction
@@ -239,12 +239,12 @@ def _reference_orbit_keys(ineq, fix_no_detection, include_party_swap):
     if include_party_swap is None:
         include_party_swap = s.mA == s.mB and s.kA == s.kB
     perms = _transposition_perms(s, fix_no_detection, include_party_swap)
-    t0, basis = _cg_basis_tables(s)
+    t0, basis = reference_maps.basis_tables(s)
     key0 = ineq.key()
-    w0, _ = functional_to_full(inequality_from_key(s, key0))
+    w0, _ = reference_maps.functional_to_full(inequality_from_key(s, key0))
     w0 = tuple(int(c) for c in w0)
 
-    sparse = [[(i, t) for i, t in enumerate(table) if t] for table in (t0, *basis)]
+    sparse = [[(i, int(t)) for i, t in enumerate(table) if t] for table in (t0, *basis)]
 
     def cg_key(w):
         off, *coeffs = [sum(w[i] * t for i, t in table) for table in sparse]
@@ -346,13 +346,11 @@ def test_generators_match_the_relabelings(s):
 
 @pytest.mark.parametrize("s", SCENARIOS, ids=SCENARIO_IDS)
 def test_basis_tables_reconstruct_to_full(s, rng):
-    t0, basis = _cg_basis_tables(s)
-    assert all(type(v) is int for table in (t0, *basis) for v in table)
+    full = _layout(s).full.tolist()
     for _ in range(5):
         coords = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(s.cg_dim)]
-        want = flatten(to_full(CGVector(s, coords), allow_negative=True))
-        got = tuple(t + sum(c * b[i] for c, b in zip(coords, basis)) for i, t in enumerate(t0))
-        assert got == want
+        want = flatten(reference_maps.to_full(CGVector(s, coords), allow_negative=True))
+        assert tuple(sum(c * t for c, t in zip([1, *coords], row)) for row in full) == want
 
 
 def _reference_census(facets):

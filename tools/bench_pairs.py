@@ -10,9 +10,11 @@ measures its own sources with its own benchmark code, for the
 PARENT and CHANGE in ten pairs, alternating which side runs first, and
 records every run.
 
-The summary gives, per seed, each side's failed operations and, per
-workload and end-to-end metric, each side's median and quartiles over its
-runs and the number of pairs the change won (ties count for neither
+A run that fails (a non-zero exit) is recorded with its exit code and
+the tail of its stderr.  The summary gives, per seed, each side's failed
+operations and failed runs and, per workload and end-to-end metric, each
+side's median and quartiles over the pairs in which both runs succeeded
+and the number of those pairs the change won (ties count for neither
 side).  ``gain`` holds when the change won at least nine tenths of the
 pairs and its median beats the parent's by more than the parent's
 interquartile range; ``within_bound`` when the change's median is no
@@ -52,7 +54,9 @@ def extract(rev: str, dest: str) -> str:
 
 def run_once(tree: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --workload all`` run: its last JSON line,
-    metrics regrouped as {workload: {metric: value}}."""
+    metrics regrouped as {workload: {metric: value}}.  A run that exits
+    non-zero or prints nothing is recorded by its exit code and the tail
+    of its stderr, without metrics."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -60,13 +64,13 @@ def run_once(tree: str, seed: int, seconds: float) -> dict:
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"run.py in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
     out = json.loads(lines[-1])
     metrics: dict = {}
     for key, m in out["metrics"].items():
         workload, metric = key.split(".", 1)
         metrics.setdefault(workload, {})[metric] = m["value"]
-    return {"attempted": out["attempted"], "failed": out["failed"], "metrics": metrics}
+    return {"exit_code": 0, "attempted": out["attempted"], "failed": out["failed"], "metrics": metrics}
 
 
 def spread(values: list) -> dict:
@@ -75,13 +79,20 @@ def spread(values: list) -> dict:
 
 
 def summarize(runs: list, spec: dict) -> dict:
-    """Failed operations of each side, and per workload and metric both
-    sides' spread and the change's wins."""
-    summary: dict = {"failed": {side: sum(r[side]["failed"] for r in runs) for side in SIDES}}
-    for workload, metrics in runs[0]["parent"]["metrics"].items():
+    """Failed operations and failed runs of each side, and per workload
+    and metric both sides' spread and the change's wins over the pairs
+    in which both runs succeeded."""
+    summary: dict = {
+        "failed": {side: sum(r[side].get("failed", 0) for r in runs) for side in SIDES},
+        "failed_runs": {side: sum("metrics" not in r[side] for r in runs) for side in SIDES},
+    }
+    ok = [r for r in runs if all("metrics" in r[side] for side in SIDES)]
+    if len(ok) < 2:  # no spread to take
+        return summary
+    for workload, metrics in ok[0]["parent"]["metrics"].items():
         for metric in metrics:
             lower = spec[metric]["better"] == "lower"
-            values = {side: [r[side]["metrics"][workload][metric] for r in runs] for side in SIDES}
+            values = {side: [r[side]["metrics"][workload][metric] for r in ok] for side in SIDES}
             sign = 1 if lower else -1
             wins = sum(
                 1 for p, c in zip(values["parent"], values["change"]) if sign * (p - c) > 0
@@ -92,8 +103,8 @@ def summarize(runs: list, spec: dict) -> dict:
                 "parent": parent,
                 "change": change,
                 "change_wins": wins,
-                "pairs": len(runs),
-                "gain": wins >= 0.9 * len(runs) and gain > parent["q3"] - parent["q1"],
+                "pairs": len(ok),
+                "gain": wins >= 0.9 * len(ok) and gain > parent["q3"] - parent["q1"],
                 "within_bound": -gain <= spec[metric]["bound"] * parent["median"],
             }
             summary.setdefault(workload, {})[metric] = entry
@@ -123,9 +134,9 @@ def main() -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], seed, seconds)
-                    print(f"seed {seed} pair {i + 1}/{PAIRS} {side}: "
-                          f"{pair[side]['failed']} failed", file=sys.stderr)
+                    run = pair[side] = run_once(trees[side], seed, seconds)
+                    status = f"{run['failed']} failed" if "metrics" in run else f"exited {run['exit_code']}"
+                    print(f"seed {seed} pair {i + 1}/{PAIRS} {side}: {status}", file=sys.stderr)
                 runs[seed].append(pair)
             summary[seed] = summarize(runs[seed], spec)
     finally:
