@@ -41,8 +41,8 @@ F = Fraction
 CHSH_ND = CHSH.with_no_detection()
 SCENARIOS = [CHSH, CHSH_ND, THREE_INPUT_PS, THREE_INPUT_L0]
 IDS = ["chsh", "chsh-nd", "three-input-ps", "three-input-l0"]
-# A priori scenarios, with the efficiencies each side admits (a side with
-# no no-detection outcome has eta = 1).
+# A priori scenarios with two, one or no no-detection outcomes: eta < 1 on
+# a side without one raises InvalidSetup, in the reference too.
 A_PRIORI = [CHSH_ND, THREE_INPUT_L0, Scenario(2, 2, 2, 2, no_detection_A=True), CHSH]
 
 
