@@ -39,7 +39,7 @@ from .errors import (
     UnknownName,
     ZeroEfficiency,
 )
-from .linprog import common_denominator, int_dtype, int_matmul
+from .linprog import Numerators, common_denominator, int_dtype, int_matmul
 
 RationalLike = Union[int, str, Fraction]
 
@@ -448,7 +448,7 @@ def _lift_keys(s0: Scenario, keys: Sequence[Sequence[int]], eff: Efficiencies) -
     return int_matmul(keys, T, max(abs(v) for key in keys for v in key) * bound * len(T))
 
 
-def lift_numerators(pps: JointTable, eff: Efficiencies, cg: bool = False) -> Tuple[list, int]:
+def lift_numerators(pps: JointTable, eff: Efficiencies, cg: bool = False) -> Numerators:
     """`lift` in integers: numerators over one positive denominator of the
     lifted table in flat order or, with ``cg``, of its CG coordinates."""
     s = pps.scenario
@@ -457,7 +457,7 @@ def lift_numerators(pps: JointTable, eff: Efficiencies, cg: bool = False) -> Tup
     no_signalling, nums, den = _detect(s, *common_denominator(flatten(pps)), eff, cg)
     if not no_signalling:
         raise SignalingInput("cannot lift a signaling table")
-    return nums, den
+    return Numerators(nums, den)
 
 
 def lift(pps: JointTable, eff: Efficiencies) -> JointTable:

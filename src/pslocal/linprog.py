@@ -14,18 +14,19 @@ integer matrices of the double description and the orbit search.
 over a matrix scaled to integers row by row once (`exact_matrix`), kept
 also as an integer array that `certify` and the NNLS guide multiply with
 (`int_matmul`: float64 BLAS below 2**53, int64 below the `int_dtype`
-bound, else Python ints).
-Floating point guides it ("float guides, rationals certify"; Applegate,
-Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).  Lawson-Hanson NNLS
-alone guides a feasibility LP (c = 0, e.g. membership): its passive set
-is the support of a point, its exact least-squares residual a Farkas
-vector.  Other LPs try HiGHS first, for the support of an optimal x and
-the columns of zero reduced cost.  `certify` checks each exact candidate
-(x and the dual y, a Farkas vector, or an unbounded ray); when none
-passes, `solve_equality_form` decides: a dense two-phase tableau simplex
-over `fractions.Fraction` (Bland's rule; at most a few hundred columns
-here) whose answers carry the same certificates.  `maximize_over_hrep`
-solves max c.x over {x : Rx <= r} as its dual, min r.y, R^T y = c, y >= 0.
+bound, else Python ints); b may be integers over one denominator.  Floats
+guide it ("float guides, integers certify"; Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 35 (2007)).  NNLS alone guides a feasibility
+LP (c = 0, e.g. membership); in one exact least-squares step on its
+passive set (Lawson & Hanson 1974, ch. 23) a zero residual makes a
+point, a non-zero one a Farkas vector.  Other LPs try HiGHS first, for
+the support of an optimal x and the columns of zero reduced cost.
+`certify` checks each exact candidate (x and the dual y, a Farkas
+vector, or an unbounded ray) in integers; when none passes,
+`solve_equality_form` decides: a dense two-phase tableau simplex over
+`fractions.Fraction` (Bland's rule; at most a few hundred columns here)
+whose answers carry the same certificates.  `maximize_over_hrep` solves
+max c.x over {x : Rx <= r} as its dual, min r.y, R^T y = c, y >= 0.
 """
 
 from __future__ import annotations
@@ -123,11 +124,11 @@ def solve_equality_form(
     b: Sequence[Fraction],
     c: Sequence[Fraction],
 ) -> LPResult:
-    """min c.x subject to Ax = b, x >= 0, everything exact."""
+    """min c.x subject to Ax = b, x >= 0, everything exact (b may be `Numerators`)."""
     m = len(A)
     n = len(c)
     A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
+    b = [Fraction(v, b.den) for v in b.nums] if isinstance(b, Numerators) else [*map(Fraction, b)]
     flipped = [False] * m
     for i in range(m):
         if b[i] < 0:
@@ -236,6 +237,13 @@ def common_denominator(values: Sequence) -> Tuple[List[int], int]:
     if denom == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+class Numerators(NamedTuple):
+    """A rational vector as integers nums[i] / den, den > 0."""
+
+    nums: list
+    den: int
 
 
 def coprime_integers(values: Sequence) -> Tuple[int, ...]:
@@ -437,37 +445,57 @@ def _guided_point(A, b, c) -> Optional[LPResult]:
     return LPResult(status=OPTIMAL, x=x, objective=objective, dual=_scaled(M, y))
 
 
+def _normal_solution(G: np.ndarray, h: list) -> Tuple[list, int]:
+    """Integers lam, det > 0 with G lam = det h, G an integer Gram matrix: det
+    and adj = det G^-1 from floats if the exact G adj is det I, else `row_reduce`."""
+    p, adj = len(h), np.inf
+    with np.errstate(all="ignore"):
+        d = np.linalg.det(G.astype(float)) if G.dtype == np.int64 else 0.0
+        if 0.5 <= d < 2 ** 53:
+            adj = np.rint(np.linalg.inv(G.astype(float)) * round(d))
+    if np.all(np.abs(adj) < 2 ** 53):
+        det, adj, top = round(d), adj.astype(np.int64), int(np.abs(adj).max(initial=0))
+        prod = int_matmul(G, adj, int(G.trace()) * top * p)  # trace >= max |G_ij|
+        if (prod == det * np.eye(p, dtype=np.int64)).all():
+            return int_matmul(adj, h, top * max(map(abs, h), default=0) * p).tolist(), det
+    _, pivots = row_reduce([row + [v] for row, v in zip(G.tolist(), h)], p)
+    return solution(pivots, p, p)
+
+
 def _guided_nnls(A, b, c) -> Optional[LPResult]:
     """Exact candidate from non-negative least squares, or None.
 
     Lawson-Hanson NNLS on min |Rx - b'|, x >= 0 over the integer rows R
-    (b' = b times the row scales) picks a passive set P.  A zero residual
-    suggests that Ax = b is feasible: with c = 0 any feasible x is optimal
-    with y = 0, and x is re-solved exactly on P.  Otherwise the exact
-    least-squares residual r = b' - R_P lambda, from the integer normal
-    equations on P, has r.R_P = 0 and r.b' = |r|^2 > 0; scaled back to A's
-    rows it is the Farkas candidate (`certify` checks r.R <= 0).
+    (b' = B / D, b times the row scales) picks a passive set P.  One exact
+    least-squares step: R_P^T R_P lam = det R_P^T B (`_normal_solution`)
+    and the residual r = det B - R_P lam.  r = 0 makes lam / (det D) on P
+    (Fractions only where non-zero) a point, optimal with y = 0 if c = 0.
+    Otherwise r.R_P = 0 < r.B, and r on A's rows is the Farkas candidate
+    (`certify` checks r.R <= 0).  A b' beyond float range leaves no guide.
     """
     M = exact_matrix(A)
-    rhs = _scaled(M, b)
+    B, D = b if isinstance(b, Numerators) else common_denominator(b)
+    B = _scaled(M, B)
     try:
-        xf, rnorm = nnls(M.dense * np.array(M.scale, float)[:, None], np.array(rhs, float))
-    except RuntimeError:  # iteration limit
+        bf = np.array([v / D for v in B])  # int / int rounds as float(Fraction)
+        xf, _ = nnls(M.dense * np.array(M.scale, float)[:, None], bf)
+    except (OverflowError, RuntimeError):  # b' past float range; iteration limit
         return None
-    P = [j for j, v in enumerate(xf) if v > PASSIVE_TOL]
-    if rnorm <= SUPPORT_TOL:
-        zero = [ZERO] * len(M.rows)
-        return None if any(c) else LPResult(OPTIMAL, _resolve_on(M, rhs, P), ZERO, zero)
-    B = common_denominator(rhs)[0]
-    R = M.ints[:, P].T  # the passive columns, one per row
-    normal = int_matmul(R, R.T, M.bound ** 2 * len(B)).tolist()
-    RB = int_matmul(R, B, M.bound * max(map(abs, B)) * len(B)).tolist()
-    _, pivots = row_reduce([row + [v] for row, v in zip(normal, RB)], len(P))
-    lam, den = solution(pivots, len(P), len(P))
-    fit = int_matmul(lam, R, M.bound * max(map(abs, lam), default=0) * len(P)).tolist()
-    r = [v * den - f for v, f in zip(B, fit)]
-    farkas = coprime_integers([s * v for s, v in zip(M.scale, r)])
-    return LPResult(status=INFEASIBLE, farkas=list(farkas))
+    P = np.flatnonzero(xf > PASSIVE_TOL).tolist()
+    R = M.ints[:, P]  # the passive columns
+    h = int_matmul(R.T, B, M.bound * max(map(abs, B), default=0) * len(B)).tolist()
+    lam, det = _normal_solution(int_matmul(R.T, R, M.bound ** 2 * len(B)), h)
+    fit = int_matmul(R, lam, M.bound * max(map(abs, lam), default=0) * len(P)).tolist()
+    r = [v * det - f for v, f in zip(B, fit)]
+    if any(r):
+        farkas = coprime_integers([s * v for s, v in zip(M.scale, r)])
+        return LPResult(status=INFEASIBLE, farkas=list(farkas))
+    if any(c):
+        return None
+    x = [ZERO] * len(M.cols)
+    for j, v in zip(P, lam):
+        x[j] = Fraction(v, det * D) if v else ZERO
+    return LPResult(OPTIMAL, x, ZERO, [ZERO] * len(M.rows))
 
 
 def certify(A, b, c, result: LPResult) -> None:
@@ -480,7 +508,8 @@ def certify(A, b, c, result: LPResult) -> None:
     """
     M = exact_matrix(A)
     m, n = len(M.rows), len(c)
-    B, b_den = common_denominator(_scaled(M, b))
+    B, b_den = b if isinstance(b, Numerators) else common_denominator(b)
+    B = _scaled(M, B)
     C, c_den = common_denominator(c)
 
     def point(x, rhs) -> Optional[tuple]:
@@ -529,13 +558,16 @@ def certify(A, b, c, result: LPResult) -> None:
 def solve_lp(A, b, c) -> LPResult:
     """min c.x s.t. Ax = b, x >= 0, exactly, with a checked certificate.
 
-    Floating point guides propose exact answers: `_guided_nnls` alone when
-    c = 0 (feasibility), else `_guided_point` and then `_guided_nnls`; the
-    first that passes `certify` is returned.  When none does,
-    `solve_equality_form` decides.  Every returned result has passed
-    `certify`, which raises CertificateInvalid (also under ``python -O``).
+    b is rational or `Numerators`.  Floating point guides propose exact
+    answers: `_guided_nnls` alone when c = 0 (feasibility), else
+    `_guided_point` and then `_guided_nnls`; the first that passes
+    `certify` is returned.  When none does, `solve_equality_form` decides.
+    Every returned result has passed `certify`, which raises
+    CertificateInvalid (also under ``python -O``).
     """
     M = exact_matrix(A)
+    if isinstance(b, Numerators) and any(c):  # HiGHS takes rationals
+        b = [Fraction(v, b.den) for v in b.nums]
     for guide in (_guided_point, _guided_nnls) if any(c) else (_guided_nnls,):
         result = guide(M, b, c)
         if result is None:

@@ -14,7 +14,7 @@ against them.  Facet enumeration goes through the double description
 method; facet verification takes integer slacks from the coprime key.
 Ranks and LPs come from the integer exact core in `linprog`.
 `is_ps_local` takes the lifted table's coordinates from the detection
-map in integers (`core.lift_numerators`), without building the table.
+map in integers (`core.lift_numerators`), as the LP takes them.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .inequalities import Inequality, inequality_from_key
 from .linprog import (
     OPTIMAL,
     ExactMatrix,
+    Numerators,
     common_denominator,
     coprime_rows,
     exact_matrix,
@@ -56,7 +57,6 @@ from .linprog import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -167,18 +167,20 @@ class MembershipCertificate:
     separator: Optional[Inequality] = None
 
 
-def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
+def membership(q: CGVector | Numerators, poly: PolytopeRep) -> MembershipCertificate:
     """Exact test for q in conv(vertices of poly).
 
-    The feasibility LP (weights >= 0 reconstructing q and summing to 1)
-    over the polytope's cached `lp_matrix` goes through `solve_lp` (NNLS
-    guides it), so its answer has passed the exact check there: weights,
-    or a Farkas vector (a least-squares residual) that becomes the separator.
+    q is a CGVector or its coordinates as `Numerators`.  The feasibility
+    LP (weights >= 0 reconstructing q and summing to 1) over the cached
+    `lp_matrix` goes through `solve_lp` (NNLS, one exact least-squares
+    step), so its answer has passed the exact check there: weights, or a
+    Farkas vector (the least-squares residual) that becomes the separator.
     """
     A = poly.lp_matrix
-    if q.scenario != poly.scenario:
+    if isinstance(q, CGVector) and q.scenario != poly.scenario:
         raise DimensionMismatch("query and polytope over different scenarios")
-    result = solve_lp(A, list(q.coords) + [ONE], [0] * len(A.cols))
+    nums, den = common_denominator(q.coords) if isinstance(q, CGVector) else q
+    result = solve_lp(A, Numerators(list(nums) + [den], den), [0] * len(A.cols))
     if result.status == OPTIMAL:
         return MembershipCertificate(inside=True, weights=tuple(result.x))
     # A Farkas vector (y, y0) over [vertices; 1]: y.v + y0 <= 0 < y.q + y0.
@@ -192,11 +194,10 @@ def membership(q: CGVector, poly: PolytopeRep) -> MembershipCertificate:
 def is_ps_local(pps: JointTable, eff: Efficiencies) -> MembershipCertificate:
     """Can pps be explained by a local a-priori model with these
     efficiencies?  Tests membership of the lifted table in the local
-    a-priori polytope; the certificate lives in its coordinates, which
-    `lift_numerators` gives without building the lifted table."""
-    nums, den = lift_numerators(pps, eff, cg=True)
-    s0 = pps.scenario.with_no_detection()
-    return membership(CGVector(s0, tuple(Fraction(v, den) for v in nums)), local_polytope(s0))
+    a-priori polytope, in its coordinates: `lift_numerators` gives them as
+    integers over one denominator, which `membership` and `solve_lp` take."""
+    q = lift_numerators(pps, eff, cg=True)  # rejects a bad pps before any LP
+    return membership(q, local_polytope(pps.scenario.with_no_detection()))
 
 
 def enumerate_facets(

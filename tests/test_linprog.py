@@ -16,9 +16,11 @@ from pslocal.linprog import (
     OPTIMAL,
     UNBOUNDED,
     LPResult,
+    Numerators,
     _guided_nnls,
     _guided_point,
     certify,
+    common_denominator,
     coprime_integers,
     exact_matrix,
     int_matmul,
@@ -28,6 +30,9 @@ from pslocal.linprog import (
     solve_exact_system,
     solve_lp,
 )
+
+from pslocal.core import Efficiencies, lift, named_correlation, to_cg
+from pslocal.polytope import local_polytope
 
 from conftest import record_dtypes
 
@@ -134,14 +139,32 @@ def test_guided_point_is_exact():
 
 
 def test_guided_farkas_is_exact():
+    """The exact least-squares residual is the Farkas vector; b given as
+    rationals or as integer numerators over one denominator gives the same."""
     A = [[1, 0], [1, 0]]
     b = [F(1), F(2)]
     res = _guided_nnls(A, b, [0, 0])
     assert res.status == INFEASIBLE
+    assert _guided_nnls(A, Numerators([3, 6], 3), [0, 0]) == res
     y = res.farkas
+    assert y == [-1, 1]
     for j in range(2):
         assert sum(y[i] * A[i][j] for i in range(2)) <= 0
     assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+
+
+def test_guided_nnls_point_is_exact():
+    """A zero exact residual makes lam / det on the passive set the point:
+    Fractions only where it is non-zero, the shared ZERO elsewhere."""
+    A = [[1, 1, 1], [F(1, 2), 1, 0]]
+    b = Numerators([6, 5], 6)  # (1, 5/6)
+    res = _guided_nnls(A, b, [0, 0, 0])
+    assert res.status == OPTIMAL and res.objective == 0 and res.dual == [0, 0]
+    assert sum(res.x) == 1 and F(1, 2) * res.x[0] + res.x[1] == F(5, 6)
+    assert all(type(v) is Fraction and v >= 0 for v in res.x)
+    assert all(v is pslocal.linprog.ZERO for v in res.x if not v)
+    certify(A, b, [0, 0, 0], res)
+    assert _guided_nnls(A, b, [0, 0, 1]) is None  # a point is no optimum when c != 0
 
 
 @st.composite
@@ -246,6 +269,44 @@ def test_nnls_farkas_in_int64_and_past_it(monkeypatch, K):
     assert (object in seen) == (K > 1)
 
 
+def _membership_lp(eta):
+    """The membership LP of the PR box lifted at (eta, eta), with b as
+    integer numerators over one denominator, as `is_ps_local` gives it."""
+    q = to_cg(lift(named_correlation("PR"), Efficiencies.of(eta, eta)))
+    A = local_polytope(q.scenario).lp_matrix
+    nums, den = common_denominator(q.coords)
+    return A, Numerators(nums + [den], den), [0] * len(A.cols)
+
+
+@pytest.mark.parametrize("eta", [F(2, 3), F(3, 4)])
+def test_wrong_adjugate_falls_back_to_row_reduce(monkeypatch, eta):
+    """The float adjugate proposal forced wrong by one in one entry: the
+    exact check G adj = det I rejects it, and `row_reduce` re-solves the
+    normal equations to the same certificate, which verifies and matches
+    the exact simplex's verdict."""
+    A, b, c = _membership_lp(eta)
+    fast = solve_lp(A, b, c)
+    real_inv, reduced = np.linalg.inv, []
+
+    def off_by_one(G):
+        inv = real_inv(G)
+        inv[0, 0] += 1 / round(np.linalg.det(G))
+        return inv
+
+    real_reduce = pslocal.linprog.row_reduce
+    monkeypatch.setattr(np.linalg, "inv", off_by_one)
+    monkeypatch.setattr(
+        pslocal.linprog, "row_reduce", lambda *a: reduced.append(a) or real_reduce(*a)
+    )
+    res = solve_lp(A, b, c)
+    assert len(reduced) == 1
+    assert res == fast
+    certify(A, b, c, res)
+    rows = [[F(v, s) for v in row] for row, s in zip(A.rows, A.scale)]
+    assert res.status == solve_equality_form(rows, [F(v, b.den) for v in b.nums], c).status
+    assert res.status == (OPTIMAL if eta == F(2, 3) else INFEASIBLE)
+
+
 def test_unbounded_ray_certifies():
     res = solve_equality_form([[1, -1]], [0], [-1, 0])
     certify([[1, -1]], [0], [-1, 0], res)
@@ -332,13 +393,17 @@ def test_exact_matrix_scales_rows_to_integers():
 
 def test_certify_raises_under_python_O():
     """The certificate checks are real checks: a python -O run, which
-    strips asserts, still rejects a tampered membership certificate."""
+    strips asserts, still rejects a tampered membership certificate and
+    forged certificates of an LP whose b is integer numerators over one
+    denominator (A has a row scaled by 2): a point with one negative
+    weight that meets A.x = b, a non-negative point that misses b in one
+    row, and a Farkas vector with y.b > 0 but y.A_j > 0 in one column."""
     code = """
 import sys
 from fractions import Fraction
 from pslocal.core import Efficiencies, lift, named_correlation, to_cg
 from pslocal.errors import CertificateInvalid
-from pslocal.linprog import LPResult, certify, solve_lp
+from pslocal.linprog import INFEASIBLE, OPTIMAL, LPResult, Numerators, certify, solve_lp
 from pslocal.polytope import local_polytope
 
 if __debug__:
@@ -360,14 +425,35 @@ for eta in (Fraction(2, 3), Fraction(3, 4)):
         certify(A, b, c, tampered)
     except CertificateInvalid:
         print(res.status, "rejected")
+A, c, half = [[1, 1, 1], [Fraction(1, 2), 1, Fraction(3, 2)]], [0, 0, 0], Fraction(1, 2)
+b = Numerators([2, 2], 2)  # (1, 1): x = (0, 1, 0) is a point
+certify(A, b, c, LPResult(OPTIMAL, x=[0, 1, 0], objective=0, dual=[0, 0]))
+forged = [
+    ("negative weight", b, LPResult(OPTIMAL, x=[3 * half / 2, -half, 3 * half / 2], objective=0, dual=[0, 0])),
+    ("missed row", b, LPResult(OPTIMAL, x=[1, 0, 0], objective=0, dual=[0, 0])),
+    ("positive column", Numerators([4, 5], 4), LPResult(INFEASIBLE, farkas=[-2, 2])),
+]
+for name, rhs, result in forged:
+    try:
+        certify(A, rhs, c, result)
+    except CertificateInvalid:
+        print(name, "rejected")
 """
+    # Each forged certificate fails exactly one of certify's checks.
+    A, x = [[1, 1, 1], [F(1, 2), 1, F(3, 2)]], [F(3, 4), F(-1, 2), F(3, 4)]
+    assert [sum(a * v for a, v in zip(row, x)) for row in A] == [1, 1]
+    assert [sum(a * v for a, v in zip(row, [1, 0, 0])) for row in A] == [1, F(1, 2)]
+    assert [-2 * u + 2 * v for u, v in zip(*A)] == [-1, 0, 1] and -2 + 2 * F(5, 4) > 0
     src = os.path.dirname(os.path.dirname(pslocal.linprog.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:2] == ["optimal rejected", "infeasible rejected"]
+    assert out.stdout.split("\n")[:-1] == [
+        "optimal rejected", "infeasible rejected",
+        "negative weight rejected", "missed row rejected", "positive column rejected",
+    ]
 
 
 def _python_product(A, B):

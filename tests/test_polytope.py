@@ -11,6 +11,7 @@ import pslocal.linprog
 import pslocal.polytope
 from pslocal.core import (
     CHSH,
+    CGVector,
     Efficiencies,
     JointTable,
     Scenario,
@@ -27,7 +28,7 @@ from pslocal.inequalities import (
     ch,
     orbit_key_set,
 )
-from pslocal.linprog import OPTIMAL, LPResult, certify
+from pslocal.linprog import OPTIMAL, LPResult, certify, solve_equality_form
 from pslocal.polytope import (
     PolytopeRep,
     affine_rank,
@@ -251,6 +252,88 @@ class TestPsLocalMap:
             is_ps_local(JointTable(CHSH, p), Efficiencies.of(1, F(1, 2)))
         with pytest.raises(DimensionMismatch):
             is_ps_local(lift(named_correlation("PR"), Efficiencies.of(1, 1)), Efficiencies.of(1, 1))
+
+
+def _certified(cert, q: CGVector, poly: PolytopeRep) -> bool:
+    """Checks a membership certificate in rationals; returns its verdict,
+    after checking that the exact simplex reaches the same one."""
+    A = poly.lp_matrix
+    rows = [[F(v, s) for v in row] for row, s in zip(A.rows, A.scale)]
+    ref = solve_equality_form(rows, list(q.coords) + [1], [0] * len(A.cols))
+    assert cert.inside == (ref.status == OPTIMAL)
+    if cert.inside:
+        assert all(w >= 0 for w in cert.weights) and sum(cert.weights) == 1
+        for i, qi in enumerate(q.coords):
+            assert sum(w * v.coords[i] for w, v in zip(cert.weights, poly.vertices) if w) == qi
+    else:
+        assert all(cert.separator.satisfied_by(v) for v in poly.vertices)
+        assert not cert.separator.satisfied_by(q)
+    return cert.inside
+
+
+class TestLeastSquaresPaths:
+    """Membership off the fast path of the exact least-squares step
+    (integer adjugate in int64, unit row scales, b in float range) still
+    ends in a certified verdict, equal to the exact simplex's."""
+
+    def test_coordinates_past_float_range(self):
+        # b has no float image: the NNLS guide steps aside, the exact
+        # simplex finds the point outside.
+        q = CGVector(CHSH, [F(10 ** 400)] * 8)
+        cert = membership(q, local_polytope(CHSH))
+        assert not _certified(cert, q, local_polytope(CHSH))
+
+    @pytest.mark.parametrize("eta", [F(2, 3), F(3, 4)])
+    def test_repeated_vertices_give_a_singular_normal_matrix(self, monkeypatch, eta):
+        """Every vertex listed twice, and NNLS patched to split each weight
+        between the copies: the passive set holds both copies, the normal
+        matrix is singular and `row_reduce` solves it."""
+        s = CHSH.with_no_detection()
+        poly = PolytopeRep(s, vertices=2 * list(local_polytope(s).vertices))
+        real_nnls, real_reduce, ranks = pslocal.linprog.nnls, pslocal.linprog.row_reduce, []
+
+        def split(A, b):
+            x, rnorm = real_nnls(A, b)
+            n = len(x) // 2
+            return np.concatenate([x[:n] + x[n:]] * 2) / 2, rnorm
+
+        def reduce(rows, n):
+            kept, pivots = real_reduce(rows, n)
+            ranks.append((len(kept), n))
+            return kept, pivots
+
+        monkeypatch.setattr(pslocal.linprog, "nnls", split)
+        monkeypatch.setattr(pslocal.linprog, "row_reduce", reduce)
+        q = to_cg(lift(named_correlation("PR"), Efficiencies.of(eta, eta)))
+        cert = membership(q, poly)
+        assert len(ranks) == 1 and 0 < ranks[0][0] < ranks[0][1]
+        assert _certified(cert, q, poly) == (eta == F(2, 3))
+
+    @pytest.mark.parametrize("eta", [F(2, 3), F(3, 4), F(7, 10)])
+    def test_fractional_vertices_scale_rows(self, eta):
+        """Coordinate i of every vertex and of q divided by i + 2: row
+        scales are not 1, and the verdict is that of the unscaled query."""
+        s = CHSH.with_no_detection()
+        shrink = lambda v: CGVector(s, [c / (i + 2) for i, c in enumerate(v.coords)])
+        poly = PolytopeRep(s, vertices=[shrink(v) for v in local_polytope(s).vertices])
+        assert poly.lp_matrix.scale[:-1] == tuple(range(2, s.cg_dim + 2))
+        q = to_cg(lift(named_correlation("PR"), Efficiencies.of(eta, eta)))
+        cert = membership(shrink(q), poly)
+        assert _certified(cert, shrink(q), poly) == membership(q, local_polytope(s)).inside
+
+    @pytest.mark.parametrize("num, inside", [(3, True), (4, False)], ids=["inside", "outside"])
+    def test_efficiencies_past_2_1100_run_in_python_ints(self, monkeypatch, num, inside):
+        """eta = (num K + 1) / 5K with K = 2**1100: the least-squares step
+        and certify run in object dtype, and NNLS still guides them."""
+        K = 2 ** 1100
+        eff = Efficiencies.of(F(num * K + 1, 5 * K), F(num * K + 1, 5 * K))
+        seen = record_dtypes(monkeypatch, pslocal.linprog)
+        monkeypatch.setattr(pslocal.linprog, "solve_equality_form", None)  # never reached
+        cert = is_ps_local(named_correlation("PR"), eff)
+        assert object in seen
+        monkeypatch.undo()
+        q = to_cg(lift(named_correlation("PR"), eff))
+        assert _certified(cert, q, local_polytope(q.scenario)) == inside
 
 
 class TestMembershipMatrix:
