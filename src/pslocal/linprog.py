@@ -21,22 +21,23 @@ LP (c = 0, e.g. membership); in one exact least-squares step on its
 passive set (Lawson & Hanson 1974, ch. 23) a zero residual makes a
 point, a non-zero one a Farkas vector.  Other LPs try HiGHS first, for
 the support of an optimal x and the columns of zero reduced cost.
-`certify` checks each exact candidate (x and the dual y, a Farkas
-vector, or an unbounded ray) in integers; when none passes,
-`solve_equality_form` decides: a dense two-phase tableau simplex over
-`fractions.Fraction` (Bland's rule; at most a few hundred columns here)
-whose answers carry the same certificates.  `maximize_over_hrep` solves
-max c.x over {x : Rx <= r} as its dual, min r.y, R^T y = c, y >= 0.
+`certify` checks each exact candidate (x and y, a Farkas vector, or an
+unbounded ray) in integers; when none passes, `solve_equality_form`
+decides: a dense two-phase tableau simplex over `fractions.Fraction`
+(Bland's rule; at most a few hundred columns here) whose answers carry
+the same certificates.  `maximize_over_hrep` solves max c.x over
+{x : Rx <= r} as its dual, min r.y, R^T y = c, y >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.optimize import linprog as highs
 from scipy.optimize import nnls
 
@@ -445,19 +446,25 @@ def _guided_point(A, b, c) -> Optional[LPResult]:
     return LPResult(status=OPTIMAL, x=x, objective=objective, dual=_scaled(M, y))
 
 
-def _normal_solution(G: np.ndarray, h: list) -> Tuple[list, int]:
-    """Integers lam, det > 0 with G lam = det h, G an integer Gram matrix: det
-    and adj = det G^-1 from floats if the exact G adj is det I, else `row_reduce`."""
-    p, adj = len(h), np.inf
-    with np.errstate(all="ignore"):
-        d = np.linalg.det(G.astype(float)) if G.dtype == np.int64 else 0.0
-        if 0.5 <= d < 2 ** 53:
-            adj = np.rint(np.linalg.inv(G.astype(float)) * round(d))
-    if np.all(np.abs(adj) < 2 ** 53):
-        det, adj, top = round(d), adj.astype(np.int64), int(np.abs(adj).max(initial=0))
-        prod = int_matmul(G, adj, int(G.trace()) * top * p)  # trace >= max |G_ij|
-        if (prod == det * np.eye(p, dtype=np.int64)).all():
-            return int_matmul(adj, h, top * max(map(abs, h), default=0) * p).tolist(), det
+def _least_squares(R: np.ndarray, B: list, bound: int) -> Tuple[list, int]:
+    """Integers lam, det > 0 with G lam = det h, G = R^T R, h = R^T B (R integer,
+    entries <= ``bound``): float Cholesky proposes det and adj = det G^-1, an exact
+    adj G = det I confirms them, lam = adj h.  Else `row_reduce` solves it."""
+    m, p = R.shape
+    G = int_matmul(R.T, R, bound * bound * m)
+    h = int_matmul(R.T, B, bound * max(map(abs, B), default=0) * m).tolist()
+    if p and bound * bound * m < 2 ** 53:  # G exact in floats
+        chol, inv, info = dposv(G.astype(float), np.eye(p))
+        root = prod(chol.diagonal().tolist())  # sqrt(det G) if info == 0
+        det = round(root * root) if info == 0 and 0.5 <= root * root < 2 ** 53 else 0
+        if det:
+            adj = np.rint(inv * det)
+            top = np.abs(adj).max()
+            if top < 2 ** 53:
+                adj = adj.astype(np.int64)
+                check = int_matmul(adj, G, int(top) * bound * bound * m * p)
+                if (check == det * np.eye(p, dtype=np.int64)).all():
+                    return int_matmul(adj, h, int(top) * max(map(abs, h)) * p).tolist(), det
     _, pivots = row_reduce([row + [v] for row, v in zip(G.tolist(), h)], p)
     return solution(pivots, p, p)
 
@@ -467,9 +474,9 @@ def _guided_nnls(A, b, c) -> Optional[LPResult]:
 
     Lawson-Hanson NNLS on min |Rx - b'|, x >= 0 over the integer rows R
     (b' = B / D, b times the row scales) picks a passive set P.  One exact
-    least-squares step: R_P^T R_P lam = det R_P^T B (`_normal_solution`)
+    least-squares step: R_P^T R_P lam = det R_P^T B (`_least_squares`)
     and the residual r = det B - R_P lam.  r = 0 makes lam / (det D) on P
-    (Fractions only where non-zero) a point, optimal with y = 0 if c = 0.
+    a point (Fractions where non-zero, else 0), optimal with y = 0 if c = 0.
     Otherwise r.R_P = 0 < r.B, and r on A's rows is the Farkas candidate
     (`certify` checks r.R <= 0).  A b' beyond float range leaves no guide.
     """
@@ -483,8 +490,7 @@ def _guided_nnls(A, b, c) -> Optional[LPResult]:
         return None
     P = np.flatnonzero(xf > PASSIVE_TOL).tolist()
     R = M.ints[:, P]  # the passive columns
-    h = int_matmul(R.T, B, M.bound * max(map(abs, B), default=0) * len(B)).tolist()
-    lam, det = _normal_solution(int_matmul(R.T, R, M.bound ** 2 * len(B)), h)
+    lam, det = _least_squares(R, B, M.bound)
     fit = int_matmul(R, lam, M.bound * max(map(abs, lam), default=0) * len(P)).tolist()
     r = [v * det - f for v, f in zip(B, fit)]
     if any(r):
@@ -492,10 +498,10 @@ def _guided_nnls(A, b, c) -> Optional[LPResult]:
         return LPResult(status=INFEASIBLE, farkas=list(farkas))
     if any(c):
         return None
-    x = [ZERO] * len(M.cols)
+    x = [0] * len(M.cols)
     for j, v in zip(P, lam):
-        x[j] = Fraction(v, det * D) if v else ZERO
-    return LPResult(OPTIMAL, x, ZERO, [ZERO] * len(M.rows))
+        x[j] = Fraction(v, det * D) if v else 0
+    return LPResult(OPTIMAL, x, ZERO, [0] * len(M.rows))
 
 
 def certify(A, b, c, result: LPResult) -> None:
@@ -558,12 +564,11 @@ def certify(A, b, c, result: LPResult) -> None:
 def solve_lp(A, b, c) -> LPResult:
     """min c.x s.t. Ax = b, x >= 0, exactly, with a checked certificate.
 
-    b is rational or `Numerators`.  Floating point guides propose exact
-    answers: `_guided_nnls` alone when c = 0 (feasibility), else
-    `_guided_point` and then `_guided_nnls`; the first that passes
-    `certify` is returned.  When none does, `solve_equality_form` decides.
-    Every returned result has passed `certify`, which raises
-    CertificateInvalid (also under ``python -O``).
+    b is rational or `Numerators`.  Floats guide: `_guided_nnls` alone when
+    c = 0 (feasibility), else `_guided_point` and then `_guided_nnls`; the
+    first exact answer that passes `certify` is returned.  When none does,
+    `solve_equality_form` decides.  Every returned result has passed
+    `certify`, which raises CertificateInvalid (also under ``python -O``).
     """
     M = exact_matrix(A)
     if isinstance(b, Numerators) and any(c):  # HiGHS takes rationals

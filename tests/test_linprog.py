@@ -155,14 +155,13 @@ def test_guided_farkas_is_exact():
 
 def test_guided_nnls_point_is_exact():
     """A zero exact residual makes lam / det on the passive set the point:
-    Fractions only where it is non-zero, the shared ZERO elsewhere."""
+    Fractions only where it is non-zero, the int 0 elsewhere."""
     A = [[1, 1, 1], [F(1, 2), 1, 0]]
     b = Numerators([6, 5], 6)  # (1, 5/6)
     res = _guided_nnls(A, b, [0, 0, 0])
     assert res.status == OPTIMAL and res.objective == 0 and res.dual == [0, 0]
     assert sum(res.x) == 1 and F(1, 2) * res.x[0] + res.x[1] == F(5, 6)
-    assert all(type(v) is Fraction and v >= 0 for v in res.x)
-    assert all(v is pslocal.linprog.ZERO for v in res.x if not v)
+    assert all(type(v) is (Fraction if v else int) and v >= 0 for v in res.x)
     certify(A, b, [0, 0, 0], res)
     assert _guided_nnls(A, b, [0, 0, 1]) is None  # a point is no optimum when c != 0
 
@@ -286,15 +285,15 @@ def test_wrong_adjugate_falls_back_to_row_reduce(monkeypatch, eta):
     the exact simplex's verdict."""
     A, b, c = _membership_lp(eta)
     fast = solve_lp(A, b, c)
-    real_inv, reduced = np.linalg.inv, []
+    real_dposv, reduced = pslocal.linprog.dposv, []
 
-    def off_by_one(G):
-        inv = real_inv(G)
+    def off_by_one(G, eye):
+        chol, inv, info = real_dposv(G, eye)
         inv[0, 0] += 1 / round(np.linalg.det(G))
-        return inv
+        return chol, inv, info
 
     real_reduce = pslocal.linprog.row_reduce
-    monkeypatch.setattr(np.linalg, "inv", off_by_one)
+    monkeypatch.setattr(pslocal.linprog, "dposv", off_by_one)
     monkeypatch.setattr(
         pslocal.linprog, "row_reduce", lambda *a: reduced.append(a) or real_reduce(*a)
     )
