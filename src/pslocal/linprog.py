@@ -14,11 +14,11 @@ integer matrices of the double description and the orbit search.
 over a matrix scaled to integers row by row once (`exact_matrix`), kept
 also as an integer array that `certify` and the NNLS guide multiply with
 (`int_matmul`: float64 BLAS below 2**53, int64 below the `int_dtype`
-bound, else Python ints); b may be integers over one denominator.  Floats
-guide it ("float guides, integers certify"; Applegate, Cook, Dash &
-Espinoza, Oper. Res. Lett. 35 (2007)).  NNLS alone guides a feasibility
-LP (c = 0, e.g. membership); in one exact least-squares step on its
-passive set (Lawson & Hanson 1974, ch. 23) a zero residual makes a
+bound, else Python ints).  Floats guide it ("float guides, integers
+certify"; Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).
+NNLS alone guides a feasibility LP (c = 0, e.g. membership, whose b may
+be integers over one denominator); in one exact least-squares step on
+its passive set (Lawson & Hanson 1974, ch. 23) a zero residual makes a
 point, a non-zero one a Farkas vector.  Other LPs try HiGHS first, for
 the support of an optimal x and the columns of zero reduced cost.
 `certify` checks each exact candidate (x and y, a Farkas vector, or an
@@ -488,7 +488,7 @@ def _guided_nnls(A, b, c) -> Optional[LPResult]:
         xf, _ = nnls(M.dense * np.array(M.scale, float)[:, None], bf)
     except (OverflowError, RuntimeError):  # b' past float range; iteration limit
         return None
-    P = np.flatnonzero(xf > PASSIVE_TOL).tolist()
+    P = np.flatnonzero(xf > PASSIVE_TOL)
     R = M.ints[:, P]  # the passive columns
     lam, det = _least_squares(R, B, M.bound)
     fit = int_matmul(R, lam, M.bound * max(map(abs, lam), default=0) * len(P)).tolist()
@@ -564,15 +564,14 @@ def certify(A, b, c, result: LPResult) -> None:
 def solve_lp(A, b, c) -> LPResult:
     """min c.x s.t. Ax = b, x >= 0, exactly, with a checked certificate.
 
-    b is rational or `Numerators`.  Floats guide: `_guided_nnls` alone when
-    c = 0 (feasibility), else `_guided_point` and then `_guided_nnls`; the
-    first exact answer that passes `certify` is returned.  When none does,
-    `solve_equality_form` decides.  Every returned result has passed
-    `certify`, which raises CertificateInvalid (also under ``python -O``).
+    b is rational, or `Numerators` when c = 0.  Floats guide: `_guided_nnls`
+    alone when c = 0 (feasibility), else `_guided_point` and then
+    `_guided_nnls`; the first exact answer that passes `certify` is
+    returned.  When none does, `solve_equality_form` decides.  Every returned
+    result has passed `certify`, which raises CertificateInvalid (also
+    under ``python -O``).
     """
     M = exact_matrix(A)
-    if isinstance(b, Numerators) and any(c):  # HiGHS takes rationals
-        b = [Fraction(v, b.den) for v in b.nums]
     for guide in (_guided_point, _guided_nnls) if any(c) else (_guided_nnls,):
         result = guide(M, b, c)
         if result is None:

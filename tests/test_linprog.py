@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pslocal.linprog
+from pslocal.core import Efficiencies, lift, named_correlation, to_cg
 from pslocal.errors import CertificateInvalid, Infeasible, Unbounded
 from pslocal.linprog import (
     INFEASIBLE,
@@ -30,8 +31,6 @@ from pslocal.linprog import (
     solve_exact_system,
     solve_lp,
 )
-
-from pslocal.core import Efficiencies, lift, named_correlation, to_cg
 from pslocal.polytope import local_polytope
 
 from conftest import record_dtypes
@@ -279,10 +278,10 @@ def _membership_lp(eta):
 
 @pytest.mark.parametrize("eta", [F(2, 3), F(3, 4)])
 def test_wrong_adjugate_falls_back_to_row_reduce(monkeypatch, eta):
-    """The float adjugate proposal forced wrong by one in one entry: the
-    exact check G adj = det I rejects it, and `row_reduce` re-solves the
-    normal equations to the same certificate, which verifies and matches
-    the exact simplex's verdict."""
+    """The adjugate that the float Cholesky inversion proposes, forced wrong
+    by one in one entry: the exact check adj G = det I rejects it, and
+    `row_reduce` re-solves the normal equations to the same certificate,
+    which verifies and matches the exact simplex's verdict."""
     A, b, c = _membership_lp(eta)
     fast = solve_lp(A, b, c)
     real_dposv, reduced = pslocal.linprog.dposv, []
