@@ -451,8 +451,10 @@ def _least_squares(R: np.ndarray, B: list, bound: int) -> Tuple[list, int]:
     entries <= ``bound``): float Cholesky proposes det and adj = det G^-1, an exact
     adj G = det I confirms them, lam = adj h.  Else `row_reduce` solves it."""
     m, p = R.shape
-    G = int_matmul(R.T, R, bound * bound * m)
-    h = int_matmul(R.T, B, bound * max(map(abs, B), default=0) * m).tolist()
+    bmax = max(map(abs, B), default=0)
+    RB = np.column_stack([R, np.array(B, dtype=int_dtype(bmax))])
+    GH = int_matmul(R.T, RB, bound * max(bound, bmax) * m)  # R^T [R | B] = [G | h]
+    G, h = GH[:, :p], GH[:, p].tolist()
     if p and bound * bound * m < 2 ** 53:  # G exact in floats
         chol, inv, info = dposv(G.astype(float), np.eye(p))
         root = prod(chol.diagonal().tolist())  # sqrt(det G) if info == 0
@@ -534,6 +536,8 @@ def certify(A, b, c, result: LPResult) -> None:
             return None
         y = [v if s == 1 else Fraction(v) / s for v, s in zip(y, M.scale)]
         Y, den = common_denominator(y)
+        if not any(Y):  # y.A = 0 without a product
+            return [0] * n, 0, den
         YA = int_matmul(Y, M.ints, M.bound * max(map(abs, Y), default=0) * m)
         return YA.tolist(), dot(Y, B), den
 
