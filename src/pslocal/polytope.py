@@ -180,6 +180,8 @@ def membership(q: CGVector | Numerators, poly: PolytopeRep) -> MembershipCertifi
     if isinstance(q, CGVector) and q.scenario != poly.scenario:
         raise DimensionMismatch("query and polytope over different scenarios")
     nums, den = common_denominator(q.coords) if isinstance(q, CGVector) else q
+    if len(nums) != poly.scenario.cg_dim:
+        raise DimensionMismatch(f"expected {poly.scenario.cg_dim} coordinates, got {len(nums)}")
     result = solve_lp(A, Numerators(list(nums) + [den], den), [0] * len(A.cols))
     if result.status == OPTIMAL:
         return MembershipCertificate(inside=True, weights=tuple(result.x))

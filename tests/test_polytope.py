@@ -28,7 +28,14 @@ from pslocal.inequalities import (
     ch,
     orbit_key_set,
 )
-from pslocal.linprog import OPTIMAL, LPResult, certify, solve_equality_form
+from pslocal.linprog import (
+    OPTIMAL,
+    LPResult,
+    Numerators,
+    certify,
+    common_denominator,
+    solve_equality_form,
+)
 from pslocal.polytope import (
     PolytopeRep,
     affine_rank,
@@ -365,6 +372,8 @@ class TestMembershipMatrix:
         assert big.lp_matrix is matrix  # kept, not rebuilt
         with pytest.raises(DimensionMismatch):
             membership(q, small)
+        with pytest.raises(DimensionMismatch):  # numerators of q: 24 coordinates, not 8
+            membership(Numerators(*common_denominator(q.coords)), small)
 
     @pytest.mark.parametrize("eta", [F(2, 3), F(3, 4)])
     def test_wrong_guides_fall_back_on_the_cached_matrix(self, wrong_guides, eta):
