@@ -2,7 +2,8 @@
 
 Every verb maps onto one module operation chain and emits deterministic
 JSON or CSV.  Exit codes: 0 on success (a negative membership answer is
-still success), 1 on domain errors, 2 on usage errors.
+still success), 1 on domain errors and on a failed `verify-paper` claim,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -26,7 +28,7 @@ from .core import (
     JointTable,
     Scenario,
     named_correlation,
-    slice_point,
+    slice_rows,
     table_from_json,
     table_to_dict,
 )
@@ -37,9 +39,9 @@ from .inequalities import (
     ch_eta_lower,
     cglmp,
     orbit_key_set,
-    symmetry_orbit,
     thresholds,
 )
+from .linprog import slacks
 from . import polytope as poly
 from . import psfacets
 from . import quantum
@@ -274,40 +276,33 @@ def slice_cmd(etaA, etaB, grid, out, fmt):
     _emit(_slice_rows(_eff(etaA, etaB), grid), out, fmt)
 
 
-def _lps_hrep(eff: Efficiencies):
-    """Facet inequalities of L_ps(eff) in the 2-input scenario, assembled
-    from the region classification and the facet families."""
+def _lps_keys(eff: Efficiencies) -> list:
+    """Facet keys of L_ps(eff) in the 2-input scenario, assembled from the
+    region classification and the facet families."""
     t = thresholds(eff)
-    ineqs = list(poly.ns_hrep(CHSH).facets)
+    keys = [f.key() for f in poly.ns_hrep(CHSH).facets]
     if t.upper_nontrivial:
-        ineqs += symmetry_orbit(ch_eta(eff), include_party_swap=False)
+        keys += orbit_key_set(ch_eta(eff), include_party_swap=False)
         if t.lower_facet:
-            ineqs += symmetry_orbit(ch_eta_lower(eff), include_party_swap=False)
-    return ineqs
+            keys += orbit_key_set(ch_eta_lower(eff), include_party_swap=False)
+    return keys
 
 
 def _slice_rows(eff: Efficiencies, grid: int):
-    lps = _lps_hrep(eff)
-    local_facets = poly.enumerate_facets(poly.local_polytope(CHSH))
-    ns = poly.ns_hrep(CHSH).facets
-    rows = []
-    for i in range(grid):
-        x = Fraction(-grid + 1 + 2 * i, grid - 1) if grid > 1 else Fraction(0)
-        for j in range(grid):
-            y = Fraction(-grid + 1 + 2 * j, grid - 1) if grid > 1 else Fraction(0)
-            v = slice_point(x, y)
-            in_ns = all(f.satisfied_by(v) for f in ns)
-            rows.append(
-                {
-                    "x": str(x),
-                    "y": str(y),
-                    "in_ns": in_ns,
-                    "in_local": in_ns
-                    and all(f.satisfied_by(v) for f in local_facets),
-                    "in_ps_local": in_ns and all(f.satisfied_by(v) for f in lps),
-                }
-            )
-    return rows
+    """Membership of the slice's grid points in NS, the local polytope and
+    L_ps(eff), from the slacks of all three H-representations at once (the
+    local and L_ps lists each imply the NS one)."""
+    ticks = [Fraction(2 * i + 1 - grid, grid - 1) if grid > 1 else Fraction(0) for i in range(grid)]
+    points = [(x, y) for x in ticks for y in ticks]
+    ns = [f.key() for f in poly.ns_hrep(CHSH).facets]
+    local = [f.key() for f in poly.enumerate_facets(poly.local_polytope(CHSH))]
+    ok = slacks(ns + local + _lps_keys(eff), slice_rows(points)) >= 0
+    a, b = len(ns), len(ns) + len(local)
+    flags = zip(*(ok[i:j].all(axis=0).tolist() for i, j in ((0, a), (a, b), (b, None))))
+    return [
+        {"x": str(x), "y": str(y), "in_ns": n, "in_local": loc, "in_ps_local": ps}
+        for (x, y), (n, loc, ps) in zip(points, flags)
+    ]
 
 
 def emit_figure_data(figure: int, eff: Optional[Efficiencies], grid: int):
@@ -337,28 +332,14 @@ def emit_figure_data(figure: int, eff: Optional[Efficiencies], grid: int):
     if figure in (1, 2):
         rows = _slice_rows(eff, grid)
         if figure == 1:
-            import math
-
-            samples = 64
-            lps = _lps_hrep(eff)
-            circle = []
-            for k in range(samples):
-                phi = 2 * math.pi * k / samples
-                cx = math.cos(phi) / math.sqrt(2)
-                cy = math.sin(phi) / math.sqrt(2)
-                q = slice_point(
-                    Fraction(cx).limit_denominator(10 ** 9),
-                    Fraction(cy).limit_denominator(10 ** 9),
-                )
-                circle.append(
-                    {
-                        "x": f"{cx:.12f}",
-                        "y": f"{cy:.12f}",
-                        "on_quantum_circle": True,
-                        "in_ps_local": all(f.satisfied_by(q) for f in lps),
-                    }
-                )
-            rows = {"grid": rows, "quantum_circle_samples": circle}
+            phis = (2 * math.pi * k / 64 for k in range(64))
+            xy = [(math.cos(phi) / math.sqrt(2), math.sin(phi) / math.sqrt(2)) for phi in phis]
+            near = [tuple(Fraction(c).limit_denominator(10 ** 9) for c in p) for p in xy]
+            inside = (slacks(_lps_keys(eff), slice_rows(near)) >= 0).all(axis=0).tolist()
+            rows = {"grid": rows, "quantum_circle_samples": [
+                {"x": f"{cx:.12f}", "y": f"{cy:.12f}", "on_quantum_circle": True, "in_ps_local": v}
+                for (cx, cy), v in zip(xy, inside)
+            ]}
         return rows
     raise click.UsageError("figure must be 1, 2 or 3")
 
@@ -413,8 +394,10 @@ def quantum_cmd(etaA, etaB, seed, restarts, out, fmt):
 @_with(common_out)
 @_domain_errors
 def verify_paper(budget, out, fmt):
-    """Machine-checkable report over every reproduced claim."""
-    _emit(run_verification(_parse_budget(budget)), out, fmt)
+    """Machine-checkable report over every reproduced claim (exit 1 if one failed)."""
+    report = run_verification(_parse_budget(budget))
+    _emit(report, out, fmt)
+    sys.exit(1 if report["summary"]["failed"] else 0)
 
 
 def run_verification(budget_seconds: Optional[float] = None) -> dict:
@@ -515,8 +498,6 @@ def run_verification(budget_seconds: Optional[float] = None) -> dict:
     record("decomposition-identities", identities)
 
     def quantum_checks():
-        import math
-
         vals = {}
         for eta in ("82/100", "83/100", "84/100"):
             vals[eta] = quantum.circle_max(Efficiencies.of(eta, eta))

@@ -515,12 +515,22 @@ SLICE_FRAME = (
 )
 
 
+def slice_rows(points: Sequence[Tuple[RationalLike, RationalLike]]) -> list:
+    """`slice_point` at each (x, y) as a homogeneous integer row (den, nums...), by one
+    product: (d, x d, y d), d a common denominator of x and y, times the frame over its
+    denominator D, as rows (D, D r), (0, D (PR' - r)) and (0, D (PR - r))."""
+    nums, D = common_denominator([v for vec in SLICE_FRAME for v in vec])
+    frame = [(D, *nums[:8]), (0, *nums[8:16]), (0, *nums[16:])]
+    H = [(d, *xy) for xy, d in (common_denominator([rational(x), rational(y)]) for x, y in points)]
+    bound = max(abs(v) for h in H for v in h) * max(map(abs, nums + [D])) * 3
+    return int_matmul(H, frame, bound).tolist()
+
+
 def slice_point(x: RationalLike, y: RationalLike) -> CGVector:
     """CG coordinates of x*PR' + y*PR + (1-x-y)*r (exact; may leave the
     non-signaling polytope)."""
-    x, y = rational(x), rational(y)
-    origin, d1, d2 = SLICE_FRAME
-    return CGVector(CHSH, tuple(o + x * u + y * v for o, u, v in zip(origin, d1, d2)))
+    den, *nums = slice_rows([(x, y)])[0]
+    return CGVector(CHSH, tuple(Fraction(v, den) for v in nums))
 
 
 def named_correlation(name: str, **params) -> JointTable:

@@ -14,7 +14,10 @@ integer matrices of the double description and the orbit search.
 over a matrix scaled to integers row by row once (`exact_matrix`), kept
 also as an integer array that `certify` and the NNLS guide multiply with
 (`int_matmul`: float64 BLAS below 2**53, int64 below the `int_dtype`
-bound, else Python ints).  Floats guide it ("float guides, integers
+bound, else Python ints).  `slacks` is the one check of inequalities at
+points: coprime keys (c, r) of c.x <= r against points as homogeneous
+integer rows (d, n), all slacks r.d - c.n in one `int_matmul` whose bound
+comes from its operands.  Floats guide the LPs ("float guides, integers
 certify"; Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 35 (2007)).
 NNLS alone guides a feasibility LP (c = 0, e.g. membership, whose b may
 be integers over one denominator); in one exact least-squares step on
@@ -390,6 +393,20 @@ def int_matmul(A, B, bound: int) -> np.ndarray:
     return product.astype(np.int64) if dtype is np.float64 else product
 
 
+def slacks(keys, rows) -> np.ndarray:
+    """S[i, j] = r.d - c.n for keys (c..., r) of c.x <= r and points as homogeneous
+    integer rows (d, n...), d > 0, or their `exact_matrix` (built once where they are
+    reused): d times the slack of key i at the point n / d, >= 0 exactly when it
+    satisfies the key.  One `int_matmul`, bounded by the operands' largest entries."""
+    W = [(k[-1], *(-v for v in k[:-1])) for k in keys]
+    built = isinstance(rows, ExactMatrix)
+    top = rows.bound if built else max(abs(v) for row in rows for v in row)
+    bound = max(abs(v) for w in W for v in w) * top * len(W[0])
+    if built:
+        rows = rows.dense if bound < 2 ** 53 else rows.ints
+    return int_matmul(rows, list(zip(*W)), bound).T
+
+
 def _scaled(M: ExactMatrix, b: Sequence) -> list:
     """b times the row scales: rows.x = that iff A.x = b (see ExactMatrix)."""
     return [v if s == 1 else s * v for s, v in zip(M.scale, b)]
@@ -427,8 +444,11 @@ def _guided_point(A, b, c) -> Optional[LPResult]:
     dual vanishes (rows whose logical is basic, e.g. redundant rows).
     """
     M = exact_matrix(A)
-    cf = np.array(c, dtype=float)
-    guide = _float_optimum(M.dense, np.array(b, dtype=float), cf)
+    try:
+        cf, bf = np.array(c, dtype=float), np.array(b, dtype=float)
+    except OverflowError:  # b or c past float range
+        return None
+    guide = _float_optimum(M.dense, bf, cf)
     if guide is None:
         return None
     xf, yf = guide
@@ -451,10 +471,8 @@ def _least_squares(R: np.ndarray, B: list, bound: int) -> Tuple[list, int]:
     entries <= ``bound``): float Cholesky proposes det and adj = det G^-1, an exact
     adj G = det I confirms them, lam = adj h.  Else `row_reduce` solves it."""
     m, p = R.shape
-    bmax = max(map(abs, B), default=0)
-    RB = np.column_stack([R, np.array(B, dtype=int_dtype(bmax))])
-    GH = int_matmul(R.T, RB, bound * max(bound, bmax) * m)  # R^T [R | B] = [G | h]
-    G, h = GH[:, :p], GH[:, p].tolist()
+    G = int_matmul(R.T, R, bound * bound * m)
+    h = int_matmul(R.T, B, bound * max(map(abs, B), default=0) * m).tolist()
     if p and bound * bound * m < 2 ** 53:  # G exact in floats
         chol, inv, info = dposv(G.astype(float), np.eye(p))
         root = prod(chol.diagonal().tolist())  # sqrt(det G) if info == 0
@@ -527,7 +545,8 @@ def certify(A, b, c, result: LPResult) -> None:
         X, den = common_denominator(x)
         if any(v < 0 for v in X):
             return None
-        RX = int_matmul(M.ints, X, M.bound * max(map(abs, X), default=0) * n).tolist()
+        nz = [j for j, v in enumerate(X) if v]
+        RX = int_matmul(M.ints[:, nz], [X[j] for j in nz], M.bound * max(X, default=0) * n).tolist()
         return (X, den) if all(v * b_den == r * den for v, r in zip(RX, rhs)) else None
 
     def dual(y) -> Optional[tuple]:

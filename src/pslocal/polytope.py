@@ -11,7 +11,7 @@ exact simplex decides when the guides fail.  The membership matrix
 an LP: the vertices of a scenario's non-signaling polytope are enumerated
 once, by double description, and each check is one exact integer product
 against them.  Facet enumeration goes through the double description
-method; facet verification takes integer slacks from the coprime key.
+method; facet verification takes the vertices' slacks from `slacks`.
 Ranks and LPs come from the integer exact core in `linprog`.
 `is_ps_local` takes the lifted table's coordinates from the detection
 map in integers (`core.lift_numerators`), as the LP takes them.
@@ -50,9 +50,9 @@ from .linprog import (
     common_denominator,
     coprime_rows,
     exact_matrix,
-    int_dtype,
     maximize_over_hrep,
     row_reduce,
+    slacks,
     solve_lp,
 )
 
@@ -232,17 +232,10 @@ def verify_facet(ineq: Inequality, poly: PolytopeRep) -> dict:
     """
     if poly.vertices is None:
         raise ValueError("verify_facet requires a V-representation")
-    key = ineq.key()
-    valid = True
-    tight = []
-    for v in poly.vertices:
-        # v = ints / den; the slack times den > 0, from the coprime key.
-        ints, den = common_denominator(v.coords)
-        slack = key[-1] * den - sum(k * x for k, x in zip(key, ints) if x)
-        if slack < 0:
-            valid = False
-        elif slack == 0:
-            tight.append(v.coords)
+    rows = [(den, *ints) for ints, den in (common_denominator(v.coords) for v in poly.vertices)]
+    S = slacks([ineq.key()], rows)[0].tolist()
+    valid = min(S) >= 0
+    tight = [v.coords for v, slack in zip(poly.vertices, S) if slack == 0]
     tight_count = affine_rank(tight) + 1  # affinely independent tight points
     is_facet = valid and tight_count == poly.dim
     return {"valid": valid, "tight_rank": tight_count, "is_facet": is_facet}
@@ -272,8 +265,7 @@ class _NsVertices(NamedTuple):
     """The vertices of a scenario's NS polytope, as homogeneous rays."""
 
     rays: tuple  # coprime integer (r0, r...) with vertex r / r0, r0 > 0
-    matrix: np.ndarray  # the rays as an int64 matrix, one row per ray
-    max_entry: int  # max |entry| of the rays
+    matrix: ExactMatrix  # the rays, one row per ray, for `slacks`
     rows: tuple  # the NS H-rep as (rhs, -coeffs...): row . ray >= 0
 
 
@@ -285,8 +277,7 @@ def _ns_vertices(s: Scenario) -> _NsVertices:
     keys = [f.key() for f in ns_hrep(s).facets]
     rows = tuple((k[-1],) + tuple(-c for c in k[:-1]) for k in keys)
     rays = tuple(extreme_rays(rows + ((1,) + (0,) * s.cg_dim,)))
-    max_entry = max(abs(v) for ray in rays for v in ray)
-    return _NsVertices(rays, np.array(rays, dtype=np.int64), max_entry, rows)
+    return _NsVertices(rays, exact_matrix(rays), rows)
 
 
 def is_trivial_for_ns(ineq: Inequality) -> bool:
@@ -294,9 +285,7 @@ def is_trivial_for_ns(ineq: Inequality) -> bool:
     correlation: its LHS maximum over the NS polytope respects the bound.
 
     The maximum is taken over the NS polytope's vertices (`_ns_vertices`)
-    by one exact integer product with the canonical key.  The product
-    runs in int64 only when max|w| * max|ray| * len(w) < 2**62 bounds
-    every partial sum; otherwise in Python ints.
+    by one exact integer product with the canonical key (`slacks`).
 
     A non-trivial verdict is certified: the violating vertex is checked
     exactly against every NS H-rep row, and `CertificateInvalid` is raised
@@ -306,17 +295,14 @@ def is_trivial_for_ns(ineq: Inequality) -> bool:
     """
     ns = _ns_vertices(ineq.scenario)
     key = ineq.key()
-    # w . (r0, r) = r0 * (coeffs . v - rhs) for the vertex v = r / r0.
-    w = (-key[-1],) + key[:-1]
-    dtype = int_dtype(max(abs(c) for c in w) * ns.max_entry * len(w))
-    values = ns.matrix.astype(dtype, copy=False) @ np.array(w, dtype=dtype)
-    best = int(np.argmax(values))
-    if values[best] <= 0:
+    S = slacks([key], ns.matrix)[0]  # r0 * (rhs - coeffs . v) at the vertex v = r / r0
+    best = int(np.argmin(S))
+    if S[best] >= 0:
         return True
     ray = ns.rays[best]
-    if not (
+    if not (  # in Python ints: r0 > 0, the key violated, every NS row satisfied
         ray[0] > 0
-        and sum(a * b for a, b in zip(w, ray)) > 0
+        and key[-1] * ray[0] < sum(a * b for a, b in zip(key, ray[1:]))
         and all(sum(a * b for a, b in zip(row, ray)) >= 0 for row in ns.rows)
     ):
         raise CertificateInvalid("NS witness vertex fails the exact check")

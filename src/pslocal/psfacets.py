@@ -59,7 +59,8 @@ from .inequalities import (
     orbit_key_set,
     thresholds,
 )
-from .linprog import INFEASIBLE, OPTIMAL, common_denominator, coprime_rows, exact_matrix, solve_lp, with_rows
+from .linprog import INFEASIBLE, OPTIMAL, common_denominator, coprime_rows, exact_matrix, solve_lp
+from .linprog import slacks, with_rows
 from .polytope import (
     affine_rank,
     enumerate_facets,
@@ -470,9 +471,9 @@ def lower_bound_witness(eff: Efficiencies) -> JointTable:
         raise IdentityFailed("witness CH value differs from the closed form")
     if value >= -1:
         raise IdentityFailed("witness does not violate the lower bound")
-    for member in orbit_key_set(ch_eta(eff), include_party_swap=False):
-        if not inequality_from_key(CHSH, member).satisfied_by(v):
-            raise IdentityFailed("witness violates an upper-bound orbit member")
+    nums, den = common_denominator(v.coords)
+    if (slacks(orbit_key_set(ch_eta(eff), include_party_swap=False), [(den, *nums)]) < 0).any():
+        raise IdentityFailed("witness violates an upper-bound orbit member")
     return witness
 
 

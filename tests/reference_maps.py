@@ -1,14 +1,35 @@
 """The Collins-Gisin layout and the detection model written out cell by
 cell in Fractions: independent references for the integer maps of
-`pslocal.core` (`_layout`, `_lift_map`) and the functions built on them."""
+`pslocal.core` (`_layout`, `_lift_map`) and the functions built on them.
+Also the slice maps, the quantum-circle samples and facet verification
+evaluated one inequality at a time, for `linprog.slacks` and its callers."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List
 
-from pslocal.core import CGVector, Efficiencies, JointTable, Scenario, flat_index, flat_size
+from pslocal.core import (
+    CHSH,
+    CGVector,
+    Efficiencies,
+    JointTable,
+    Scenario,
+    flat_index,
+    flat_size,
+    slice_point,
+)
 from pslocal.errors import InvalidSetup, SignalingInput
-from pslocal.inequalities import Inequality, inequality_from_key
+from pslocal.inequalities import (
+    Inequality,
+    ch_eta,
+    ch_eta_lower,
+    inequality_from_key,
+    symmetry_orbit,
+    thresholds,
+)
+from pslocal.linprog import common_denominator
+from pslocal.polytope import affine_rank, enumerate_facets, local_polytope, ns_hrep
 from pslocal.psfacets import DerivedInequality, classify
 
 ZERO = Fraction(0)
@@ -173,3 +194,82 @@ def derive(eff: Efficiencies, l0_facets) -> List[DerivedInequality]:
         result = inequality_from_key(sources[0].scenario.conclusive(), key)
         out.append(DerivedInequality(sources[0], result, classify(result, eff), len(sources)))
     return out
+
+
+def lps_hrep(eff: Efficiencies) -> list:
+    """Facet inequalities of L_ps(eff) in the 2-input scenario, from the
+    region classification and the facet families."""
+    t = thresholds(eff)
+    ineqs = list(ns_hrep(CHSH).facets)
+    if t.upper_nontrivial:
+        ineqs += symmetry_orbit(ch_eta(eff), include_party_swap=False)
+        if t.lower_facet:
+            ineqs += symmetry_orbit(ch_eta_lower(eff), include_party_swap=False)
+    return ineqs
+
+
+def slice_rows(eff: Efficiencies, grid: int) -> list:
+    """The rows of `pslocal slice` (and of figures 1 and 2): each grid point
+    built by `slice_point` and checked with `Inequality.satisfied_by`."""
+    lps = lps_hrep(eff)
+    local_facets = enumerate_facets(local_polytope(CHSH))
+    ns = ns_hrep(CHSH).facets
+    rows = []
+    for i in range(grid):
+        x = Fraction(-grid + 1 + 2 * i, grid - 1) if grid > 1 else Fraction(0)
+        for j in range(grid):
+            y = Fraction(-grid + 1 + 2 * j, grid - 1) if grid > 1 else Fraction(0)
+            v = slice_point(x, y)
+            in_ns = all(f.satisfied_by(v) for f in ns)
+            rows.append(
+                {
+                    "x": str(x),
+                    "y": str(y),
+                    "in_ns": in_ns,
+                    "in_local": in_ns and all(f.satisfied_by(v) for f in local_facets),
+                    "in_ps_local": in_ns and all(f.satisfied_by(v) for f in lps),
+                }
+            )
+    return rows
+
+
+def quantum_circle(eff: Efficiencies, samples: int = 64) -> list:
+    """Figure 1's samples of the circle x^2 + y^2 = 1/2, each rounded to
+    denominators of at most 10**9 and checked against L_ps(eff)."""
+    lps = lps_hrep(eff)
+    circle = []
+    for k in range(samples):
+        phi = 2 * math.pi * k / samples
+        cx = math.cos(phi) / math.sqrt(2)
+        cy = math.sin(phi) / math.sqrt(2)
+        q = slice_point(
+            Fraction(cx).limit_denominator(10 ** 9),
+            Fraction(cy).limit_denominator(10 ** 9),
+        )
+        circle.append(
+            {
+                "x": f"{cx:.12f}",
+                "y": f"{cy:.12f}",
+                "on_quantum_circle": True,
+                "in_ps_local": all(f.satisfied_by(q) for f in lps),
+            }
+        )
+    return circle
+
+
+def verify_facet(ineq: Inequality, poly) -> dict:
+    """`polytope.verify_facet` with each vertex's slack summed from the
+    coprime key, one vertex at a time."""
+    key = ineq.key()
+    valid = True
+    tight = []
+    for v in poly.vertices:
+        # v = ints / den; the slack times den > 0, from the coprime key.
+        ints, den = common_denominator(v.coords)
+        slack = key[-1] * den - sum(k * x for k, x in zip(key, ints) if x)
+        if slack < 0:
+            valid = False
+        elif slack == 0:
+            tight.append(v.coords)
+    tight_count = affine_rank(tight) + 1
+    return {"valid": valid, "tight_rank": tight_count, "is_facet": valid and tight_count == poly.dim}

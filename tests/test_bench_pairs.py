@@ -53,8 +53,22 @@ def test_a_failed_run_is_recorded_not_raised(monkeypatch):
     runs[1]["change"] = failed
     summary = bench_pairs.summarize(runs, SPEC)
     assert summary["failed_runs"] == {"parent": 0, "change": 1}
+    assert summary["no_speed_sample_runs"] == {"parent": 0, "change": 1}
     assert summary["failed"] == {"parent": 0, "change": 0}
     entry = summary["membership"]["op_p50_ref_s"]
     assert entry["pairs"] == 4  # the pair with the failed run is left out
     assert entry["parent"] == {"median": 6, "q1": 6, "q3": 6.25}
     assert entry["change_wins"] == 3
+
+
+def test_runs_without_a_speed_sample_are_told_apart():
+    """A run that died at the median of no speed samples is counted as
+    such; a run that failed otherwise is a failed run only."""
+    runs = _runs([6, 5, 6, 7, 6], [3, 3, 6, 2, 3])
+    runs[0]["parent"] = {"exit_code": 1, "stderr_tail": "StatisticsError: no median for empty data\n"}
+    runs[2]["change"] = {"exit_code": 1, "stderr_tail": "CertificateInvalid: LP certificate\n"}
+    runs[3]["change"] = {"exit_code": -9, "stderr_tail": ""}
+    summary = bench_pairs.summarize(runs, SPEC)
+    assert summary["failed_runs"] == {"parent": 1, "change": 2}
+    assert summary["no_speed_sample_runs"] == {"parent": 1, "change": 0}
+    assert summary["membership"]["op_p50_ref_s"]["pairs"] == 2

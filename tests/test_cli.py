@@ -4,6 +4,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+import pslocal.cli
 from pslocal.cli import _parse_budget, main
 from pslocal.core import named_correlation, table_from_json, table_to_json
 
@@ -230,3 +231,16 @@ class TestErrorHandling:
                    "--basis", "pr2,pr,r"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("failed", [0, 1])
+    def test_verify_paper_exits_one_when_a_claim_fails(self, runner, monkeypatch, failed):
+        # The report is emitted unchanged either way; only the exit code
+        # tells a script that a claim failed.
+        report = {
+            "claims": [{"id": "c", "status": "failed" if failed else "verified"}],
+            "summary": {"verified": 1 - failed, "failed": failed, "skipped": 0},
+        }
+        monkeypatch.setattr(pslocal.cli, "run_verification", lambda budget: report)
+        result = runner.invoke(main, ["verify-paper", "--budget", "1m"])
+        assert result.exit_code == failed
+        assert json.loads(result.stdout) == report

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pslocal.linprog
-from pslocal.core import Efficiencies, lift, named_correlation, to_cg
+from pslocal.core import CHSH, CGVector, Efficiencies, lift, named_correlation, to_cg
 from pslocal.errors import CertificateInvalid, Infeasible, Unbounded
+from pslocal.inequalities import inequality_from_key
 from pslocal.linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -27,6 +28,7 @@ from pslocal.linprog import (
     int_matmul,
     maximize_over_hrep,
     row_reduce,
+    slacks,
     solve_equality_form,
     solve_exact_system,
     solve_lp,
@@ -490,3 +492,36 @@ def test_int_matmul_matches_python_ints(data):
     bound = max(abs(v) for row in A for v in row) * max(abs(v) for row in B for v in row) * k
     assert int_matmul(A, B, bound).tolist() == _python_product(A, B)
     assert int_matmul(np.array(A), np.array(B), bound).tolist() == _python_product(A, B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_slacks_match_fraction_slack(data):
+    """S[i, j] is den_j times `Inequality.slack` of key i at point j, for
+    entries near the float64 limit of the product, past 2**53, past 2**62
+    and past float range (as rows, and below float range as their
+    `exact_matrix` too)."""
+    top = data.draw(st.sampled_from([7, isqrt(2 ** 53 // 9), 2 ** 27, 2 ** 53 + 1, 2 ** 62 + 1, 2 ** 1100]))
+    entry = st.one_of(st.sampled_from([top, -top, top - 1, 0, 1]), st.integers(-top, top))
+    key = st.lists(entry, min_size=9, max_size=9).map(tuple)
+    row = st.tuples(st.integers(1, top), *[entry] * 8)
+    keys = data.draw(st.lists(key, min_size=1, max_size=4))
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    want = [
+        [den * inequality_from_key(CHSH, k).slack(CGVector(CHSH, [F(v, den) for v in nums]))
+         for den, *nums in rows]
+        for k in keys
+    ]
+    assert slacks(keys, rows).tolist() == want
+    if top < 2 ** 1000:
+        assert slacks(keys, exact_matrix(rows)).tolist() == want
+
+
+def test_objective_lp_past_float_range():
+    """b beyond float range leaves HiGHS no guide, as it leaves NNLS none;
+    the exact simplex decides and its answer is certified."""
+    big = F(10 ** 400)
+    assert _guided_point([[1, 1]], [big], [1, 0]) is None
+    result = solve_lp([[1, 1]], [big], [1, 0])
+    assert result.status == OPTIMAL and result.objective == 0
+    assert result.x == [0, big]

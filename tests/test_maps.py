@@ -1,8 +1,11 @@
 """The integer maps of `pslocal.core` against the Fraction loops of
 `reference_maps`: tables (`to_cg`, `is_nonsignaling`, `to_full`),
-functionals (`functional_to_full`, `functional_from_full`) and the
-detection model's adjoint (`lift_functional`, `derive`)."""
+functionals (`functional_to_full`, `functional_from_full`), the
+detection model's adjoint (`lift_functional`, `derive`), and the checks
+built on `linprog.slacks` (the slice figures, `verify_facet`)."""
 
+import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +34,10 @@ from pslocal.inequalities import (
     cglmp,
     functional_from_full,
     functional_to_full,
+    inequality_from_key,
 )
-from pslocal.polytope import enumerate_facets, local_polytope
+from pslocal.cli import emit_figure_data
+from pslocal.polytope import enumerate_facets, local_polytope, verify_facet
 from pslocal.psfacets import derive, lift_functional
 
 from conftest import BIG_DENOMINATOR, deterministic_table, mix_tables, record_dtypes
@@ -201,3 +206,29 @@ def test_derive_edge_cases(a_priori_facets):
         derive(eff, [ch()])
     with pytest.raises(DimensionMismatch):
         derive(eff, a_priori_facets[CHSH_ND][:2] + a_priori_facets[THREE_INPUT_L0][:2])
+
+
+@pytest.mark.parametrize("etaA, etaB", [(F(1, 2), F(1, 2)), (F(7, 10), F(19, 20)), (F(19, 20), F(19, 20))])
+@pytest.mark.parametrize("grid", [1, 2, 5])
+def test_slice_figures_match_the_fraction_loops(etaA, etaB, grid):
+    # Serialized without a default: a numpy bool in the rows would raise.
+    eff = Efficiencies(etaA, etaB)
+    rows = ref.slice_rows(eff, grid)
+    want = {1: {"grid": rows, "quantum_circle_samples": ref.quantum_circle(eff)}, 2: rows}
+    for figure in (1, 2):
+        got = emit_figure_data(figure, eff, grid)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want[figure], sort_keys=True)
+
+
+@pytest.mark.parametrize("s0", [CHSH_ND, THREE_INPUT_L0], ids=["chsh-nd", "three-input-l0"])
+def test_verify_facet_matches_the_vertex_loop(a_priori_facets, s0):
+    poly = local_polytope(s0)
+    keys = [f.key() for f in random.Random(3).sample(a_priori_facets[s0], 6)]
+    keys += [k[:-1] + (k[-1] + d,) for k in keys[:3] for d in (-1, 1)]  # invalid; not tight
+    keys.append(tuple(a + b for a, b in zip(keys[0], keys[1])))  # valid, not a facet
+    big = 2 ** 70 + 1  # slacks past int64
+    keys.append(tuple(big * v for v in keys[0][:-1]) + (big * keys[0][-1] + 1,))
+    for key in keys:
+        ineq = inequality_from_key(s0, key)
+        assert verify_facet(ineq, poly) == ref.verify_facet(ineq, poly)
+    assert {verify_facet(inequality_from_key(s0, k), poly)["is_facet"] for k in keys} == {True, False}

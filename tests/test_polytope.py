@@ -34,6 +34,7 @@ from pslocal.linprog import (
     Numerators,
     certify,
     common_denominator,
+    exact_matrix,
     solve_equality_form,
 )
 from pslocal.polytope import (
@@ -440,11 +441,7 @@ class TestNsVertices:
         # A point far outside NS that maximizes CH over the patched list.
         bad = (1,) + tuple(100 * c for c in ch().key()[:-1])
         rays = ns.rays + (bad,)
-        patched = ns._replace(
-            rays=rays,
-            matrix=np.array(rays, dtype=np.int64),
-            max_entry=max(abs(v) for r in rays for v in r),
-        )
+        patched = ns._replace(rays=rays, matrix=exact_matrix(rays))
         monkeypatch.setattr(pslocal.polytope, "_ns_vertices", lambda s: patched)
         with pytest.raises(CertificateInvalid):
             is_trivial_for_ns(ch())

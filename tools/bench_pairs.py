@@ -12,7 +12,10 @@ records every run.
 
 A run that fails (a non-zero exit) is recorded with its exit code and
 the tail of its stderr.  The summary gives, per seed, each side's failed
-operations and failed runs and, per workload and end-to-end metric, each
+operations and failed runs, and how many of those failed runs died on a
+timed pass too short for one speed sample (``no_speed_sample_runs``: the
+benchmark's own defect, apart from a failure of the program), and, per
+workload and end-to-end metric, each
 side's median and quartiles over the pairs in which both runs succeeded
 and the number of those pairs the change won (ties count for neither
 side).  ``gain`` holds when the change won at least nine tenths of the
@@ -38,6 +41,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 PAIRS = 10
+# What a run's stderr ends with when perfbench takes the median of no
+# speed samples.
+NO_SPEED_SAMPLE = "no median for empty data"
 
 
 def extract(rev: str, dest: str) -> str:
@@ -79,12 +85,17 @@ def spread(values: list) -> dict:
 
 
 def summarize(runs: list, spec: dict) -> dict:
-    """Failed operations and failed runs of each side, and per workload
-    and metric both sides' spread and the change's wins over the pairs
-    in which both runs succeeded."""
+    """Failed operations and failed runs of each side (and, of those, the
+    runs with no speed sample), and per workload and metric both sides'
+    spread and the change's wins over the pairs in which both runs
+    succeeded."""
     summary: dict = {
         "failed": {side: sum(r[side].get("failed", 0) for r in runs) for side in SIDES},
         "failed_runs": {side: sum("metrics" not in r[side] for r in runs) for side in SIDES},
+        "no_speed_sample_runs": {
+            side: sum(NO_SPEED_SAMPLE in r[side].get("stderr_tail", "") for r in runs)
+            for side in SIDES
+        },
     }
     ok = [r for r in runs if all("metrics" in r[side] for side in SIDES)]
     if len(ok) < 2:  # no spread to take
