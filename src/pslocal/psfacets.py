@@ -424,12 +424,12 @@ def saturating_witnesses(eff: Efficiencies) -> List[JointTable]:
         (HALF, HALF, HALF, HALF, HALF, HALF, HALF, HALF - x),
         (y, HALF, HALF, HALF, y, y, HALF, 0),
     ]
-    ineq = ch_eta(eff)
+    rows = [(den, *nums) for nums, den in map(common_denominator, coord_sets)]
+    if slacks([ch_eta(eff).key()], rows).any():
+        raise IdentityFailed("witness does not saturate the upper bound")
     witnesses = []
     for coords in coord_sets:
         v = CGVector(CHSH, tuple(Fraction(c) for c in coords))
-        if ineq.evaluate(v) != 0:
-            raise IdentityFailed("witness does not saturate the upper bound")
         cert = is_ps_local(to_full(v), eff)
         if not cert.inside:
             raise IdentityFailed("witness left the post-selected local set")

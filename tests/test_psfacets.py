@@ -6,7 +6,7 @@ import pytest
 import pslocal.linprog
 import pslocal.psfacets
 from pslocal.core import CHSH, Efficiencies, is_nonsignaling, lift, to_cg
-from pslocal.errors import CertificateInvalid, InvalidSetup
+from pslocal.errors import CertificateInvalid, IdentityFailed, InvalidSetup
 from pslocal.inequalities import (
     THREE_INPUT_PS,
     ch,
@@ -129,6 +129,17 @@ class TestWitnesses:
         q = to_cg(w)
         for member in symmetry_orbit(ch_eta(DARK), include_party_swap=False):
             assert member.satisfied_by(q)
+
+    def test_witness_checks_reject_a_wrong_inequality(self, monkeypatch):
+        # The lower-bound witness violates the lower CH form, and the
+        # upper-bound witnesses do not saturate it.
+        lower = ch_eta_lower(DARK).key()
+        monkeypatch.setattr(pslocal.psfacets, "orbit_key_set", lambda ineq, **kw: {lower})
+        with pytest.raises(IdentityFailed, match="orbit member"):
+            lower_bound_witness(DARK)
+        monkeypatch.setattr(pslocal.psfacets, "ch_eta", ch_eta_lower)
+        with pytest.raises(IdentityFailed, match="saturate"):
+            saturating_witnesses(LIGHT)
 
 
 class TestRegions:
