@@ -501,7 +501,8 @@ def test_slacks_match_fraction_slack(data):
     entries near the float64 limit of the product, past 2**53, past 2**62
     and past float range (as rows, and below float range as their
     `exact_matrix` too)."""
-    top = data.draw(st.sampled_from([7, isqrt(2 ** 53 // 9), 2 ** 27, 2 ** 53 + 1, 2 ** 62 + 1, 2 ** 1100]))
+    tops = [7, isqrt(2 ** 53 // 9), 2 ** 27, 2 ** 53 + 1, 2 ** 62 + 1, 2 ** 1100]
+    top = data.draw(st.sampled_from(tops))
     entry = st.one_of(st.sampled_from([top, -top, top - 1, 0, 1]), st.integers(-top, top))
     key = st.lists(entry, min_size=9, max_size=9).map(tuple)
     row = st.tuples(st.integers(1, top), *[entry] * 8)

@@ -208,7 +208,9 @@ def test_derive_edge_cases(a_priori_facets):
         derive(eff, a_priori_facets[CHSH_ND][:2] + a_priori_facets[THREE_INPUT_L0][:2])
 
 
-@pytest.mark.parametrize("etaA, etaB", [(F(1, 2), F(1, 2)), (F(7, 10), F(19, 20)), (F(19, 20), F(19, 20))])
+@pytest.mark.parametrize(
+    "etaA, etaB", [(F(1, 2), F(1, 2)), (F(7, 10), F(19, 20)), (F(19, 20), F(19, 20))]
+)
 @pytest.mark.parametrize("grid", [1, 2, 5])
 def test_slice_figures_match_the_fraction_loops(etaA, etaB, grid):
     # Serialized without a default: a numpy bool in the rows would raise.
