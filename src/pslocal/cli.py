@@ -32,15 +32,8 @@ from .core import (
     table_from_json,
     table_to_dict,
 )
-from .errors import IdentityFailed, PslocalError
-from .inequalities import (
-    ch,
-    ch_eta,
-    ch_eta_lower,
-    cglmp,
-    orbit_key_set,
-    thresholds,
-)
+from .errors import BudgetExceeded, IdentityFailed, PslocalError
+from .inequalities import ch, cglmp, orbit_key_set, thresholds
 from .linprog import slacks
 from . import polytope as poly
 from . import psfacets
@@ -277,15 +270,9 @@ def slice_cmd(etaA, etaB, grid, out, fmt):
 
 
 def _lps_keys(eff: Efficiencies) -> list:
-    """Facet keys of L_ps(eff) in the 2-input scenario, assembled from the
-    region classification and the facet families."""
-    t = thresholds(eff)
-    keys = [f.key() for f in poly.ns_hrep(CHSH).facets]
-    if t.upper_nontrivial:
-        keys += orbit_key_set(ch_eta(eff), include_party_swap=False)
-        if t.lower_facet:
-            keys += orbit_key_set(ch_eta_lower(eff), include_party_swap=False)
-    return keys
+    """Keys of L_ps(eff) in the 2-input scenario, by its definition: the
+    distinct lifts of the a-priori local polytope's facets."""
+    return list(psfacets.lifted_keys(eff, poly.local_facets(CHSH.with_no_detection())))
 
 
 def _slice_rows(eff: Efficiencies, grid: int):
@@ -295,7 +282,7 @@ def _slice_rows(eff: Efficiencies, grid: int):
     ticks = [Fraction(2 * i + 1 - grid, grid - 1) if grid > 1 else Fraction(0) for i in range(grid)]
     points = [(x, y) for x in ticks for y in ticks]
     ns = [f.key() for f in poly.ns_hrep(CHSH).facets]
-    local = [f.key() for f in poly.enumerate_facets(poly.local_polytope(CHSH))]
+    local = [f.key() for f in poly.local_facets(CHSH)]
     ok = slacks(ns + local + _lps_keys(eff), slice_rows(points)) >= 0
     a, b = len(ns), len(ns) + len(local)
     flags = zip(*(ok[i:j].all(axis=0).tolist() for i, j in ((0, a), (a, b), (b, None))))
@@ -406,22 +393,17 @@ def run_verification(budget_seconds: Optional[float] = None) -> dict:
     claims = []
 
     def record(claim_id, fn):
-        if deadline is not None and time.monotonic() > deadline:
-            claims.append({"id": claim_id, "status": "skipped-budget"})
-            return
-        try:
-            values = fn()
-            claims.append(
-                {"id": claim_id, "status": "verified", "values": values}
-            )
-        except Exception as exc:
-            claims.append(
-                {
-                    "id": claim_id,
-                    "status": "failed",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+        """Run one claim: verified, failed, or skipped-budget when the
+        deadline has passed or the claim raises `BudgetExceeded`."""
+        claim = {"id": claim_id, "status": "skipped-budget"}
+        if deadline is None or time.monotonic() <= deadline:
+            try:
+                claim.update(status="verified", values=fn())
+            except BudgetExceeded:
+                pass
+            except Exception as exc:
+                claim.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        claims.append(claim)
 
     def vertex_censuses():
         return {
@@ -439,7 +421,7 @@ def run_verification(budget_seconds: Optional[float] = None) -> dict:
     record("vertex-censuses-16-81-243", vertex_censuses)
 
     def chsh_facets():
-        fs = poly.enumerate_facets(poly.local_polytope(CHSH))
+        fs = poly.local_facets(CHSH)
         trivial = {f.key() for f in poly.ns_hrep(CHSH).facets}
         return {
             "total": len(fs),
@@ -451,7 +433,7 @@ def run_verification(budget_seconds: Optional[float] = None) -> dict:
 
     def l0_census():
         s0 = CHSH.with_no_detection()
-        fs = poly.enumerate_facets(poly.local_polytope(s0))
+        fs = poly.local_facets(s0)
         trivial = {f.key() for f in poly.ns_hrep(s0).facets}
         cglmp_orbit = orbit_key_set(cglmp())
         n_trivial = sum(1 for f in fs if f.key() in trivial)
@@ -467,8 +449,7 @@ def run_verification(budget_seconds: Optional[float] = None) -> dict:
 
     def derive_dark_gray():
         eff = Efficiencies.of("19/20", "19/20")
-        fs = poly.enumerate_facets(poly.local_polytope(CHSH.with_no_detection()))
-        derived = psfacets.derive(eff, fs)
+        derived = psfacets.derive(eff, poly.local_facets(CHSH.with_no_detection()))
         return psfacets.classification_census(derived)
 
     record("derived-64-forms-dark-gray", derive_dark_gray)

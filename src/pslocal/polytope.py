@@ -221,6 +221,14 @@ def enumerate_facets(
     ]
 
 
+@lru_cache(maxsize=None)
+def local_facets(s: Scenario) -> tuple:
+    """`enumerate_facets` of the scenario's local polytope, without a
+    budget, run once per scenario and kept (`enumerate_facets` itself runs
+    DD on every call)."""
+    return tuple(enumerate_facets(local_polytope(s)))
+
+
 def verify_facet(ineq: Inequality, poly: PolytopeRep) -> dict:
     """Check validity and facet-ness of an inequality against a V-rep.
 

@@ -35,7 +35,6 @@ from .core import (
     unflatten,
 )
 from .errors import (
-    BudgetExceeded,
     CertificateInvalid,
     DimensionMismatch,
     IdentityFailed,
@@ -67,9 +66,9 @@ from .polytope import (
     enumerate_vertices,
     is_ps_local,
     is_trivial_for_ns,
+    local_facets,
     local_polytope,
     ns_hrep,
-    verify_facet,
 )
 
 ZERO = Fraction(0)
@@ -153,17 +152,12 @@ def classify(ineq: Inequality, eff: Efficiencies) -> Classification:
     return Classification.OTHER
 
 
-def derive(
-    eff: Efficiencies, l0_facets: Sequence[Inequality]
-) -> List[DerivedInequality]:
-    """The full pipeline: lift every a-priori facet (one product of their
-    keys, `core._lift_keys`), deduplicate, classify.
-
-    Returns deduplicated inequalities in canonical key order; duplicates
-    are recorded through the multiplicity field.
-    """
-    if not l0_facets:
-        return []
+def lifted_keys(eff: Efficiencies, l0_facets: Sequence[Inequality]) -> Dict[tuple, list]:
+    """The distinct coprime keys of the lifted a-priori facets (one product
+    of their keys with the detection map's adjoint, `core._lift_keys`),
+    each with the facets that lift to it.  Over every facet of the a-priori
+    local polytope they are an H-representation of L_ps(eff), by its
+    definition: the correlations whose lift lies in that polytope."""
     s0 = l0_facets[0].scenario
     if any(f.scenario != s0 for f in l0_facets):
         raise DimensionMismatch("facets over different scenarios")
@@ -171,7 +165,23 @@ def derive(
     by_key: Dict[tuple, list] = {}
     for facet, key in zip(l0_facets, map(tuple, keys.tolist())):
         by_key.setdefault(key, []).append(facet)
-    results = {key: inequality_from_key(s0.conclusive(), key) for key in sorted(by_key)}
+    return by_key
+
+
+def derive(
+    eff: Efficiencies, l0_facets: Sequence[Inequality]
+) -> List[DerivedInequality]:
+    """The full pipeline: lift every a-priori facet (`lifted_keys`),
+    deduplicate, classify.
+
+    Returns deduplicated inequalities in canonical key order; duplicates
+    are recorded through the multiplicity field.
+    """
+    if not l0_facets:
+        return []
+    by_key = lifted_keys(eff, l0_facets)
+    sps = l0_facets[0].scenario.conclusive()
+    results = {key: inequality_from_key(sps, key) for key in sorted(by_key)}
     return [
         DerivedInequality(by_key[key][0], result, classify(result, eff), len(by_key[key]))
         for key, result in results.items()
@@ -728,7 +738,8 @@ def verify_appendix_b(eta, facet_budget_seconds: Optional[float] = None) -> dict
     288, 288 and 432), that the conclusive local polytope has only trivial
     and CH-type facets, and that the derived inequalities for L_ps(1, eta)
     consist of the grouped CH family plus one genuinely new family that no
-    relabeling connects to a lifted CH form.
+    relabeling connects to a lifted CH form.  DD of the a-priori polytope
+    raises `BudgetExceeded` when it overruns ``facet_budget_seconds``.
     """
     eta = Fraction(eta)
     if not (HALF < eta < 1):
@@ -748,44 +759,26 @@ def verify_appendix_b(eta, facet_budget_seconds: Optional[float] = None) -> dict
         [[1, 1, 1, 1], [1, 1, -1, -1], [0, 0, 0, 0]],
         0,
     )
-    try:
-        facets = enumerate_facets(local_polytope(s0), facet_budget_seconds)
-    except BudgetExceeded as exc:
-        # Fallback: certify one representative per claimed family against
-        # the vertex representation instead of enumerating everything.
-        reps = {"trivial": ns_hrep(s0).facets[0], "ch": ch_rep}
-        for k in (1, 2, 3):
-            reps[f"new-{k}"] = i3223(k)
-        report["census"] = {
-            "status": "skipped-budget",
-            "reason": str(exc),
-            "fallback_facet_checks": {
-                label: verify_facet(rep, local_polytope(s0))
-                for label, rep in reps.items()
-            },
-        }
-        facets = None
-    if facets is not None:
-        orbits = _orbit_census(facets)
-        labelled = [
-            ("trivial", {f.key() for f in ns_hrep(s0).facets}),
-            ("ch", orbit_key_set(ch_rep)),
-        ] + [(f"new-{k}", orbit_key_set(i3223(k))) for k in (1, 2, 3)]
-        families = {}
-        for orbit in orbits:
-            key = orbit["representative"].key()
-            label = next(
-                (name for name, keys in labelled if key in keys), "unrecognized"
-            )
-            families[label] = families.get(label, 0) + orbit["size"]
-        report["census"] = {
-            "status": "verified",
-            "total": len(facets),
-            "families": families,
-        }
+    facets = enumerate_facets(local_polytope(s0), facet_budget_seconds)
+    orbits = _orbit_census(facets)
+    labelled = [
+        ("trivial", {f.key() for f in ns_hrep(s0).facets}),
+        ("ch", orbit_key_set(ch_rep)),
+    ] + [(f"new-{k}", orbit_key_set(i3223(k))) for k in (1, 2, 3)]
+    families = {}
+    for orbit in orbits:
+        key = orbit["representative"].key()
+        label = next(
+            (name for name, keys in labelled if key in keys), "unrecognized"
+        )
+        families[label] = families.get(label, 0) + orbit["size"]
+    report["census"] = {
+        "status": "verified",
+        "total": len(facets),
+        "families": families,
+    }
 
-    conclusive = local_polytope(THREE_INPUT_PS)
-    cfacets = enumerate_facets(conclusive)
+    cfacets = local_facets(THREE_INPUT_PS)
     trivial_ps = {f.key() for f in ns_hrep(THREE_INPUT_PS).facets}
     ch_ps = from_cg_table(
         THREE_INPUT_PS, 0, (-1, 0, 0), (-1, 0), [[1, 1], [1, -1], [0, 0]], 0
@@ -802,25 +795,24 @@ def verify_appendix_b(eta, facet_budget_seconds: Optional[float] = None) -> dict
         "other": len(leftovers),
     }
 
-    if facets is not None:
-        derived = derive(eff, facets)
-        census = classification_census(derived)
-        new_orbit = orbit_key_set(i3223_1_eta(eta))
-        other_keys = {
-            d.result.key()
-            for d in derived
-            if d.classification is Classification.OTHER
-        }
-        report["derived"] = {
-            "census": census,
-            # The new family must come out of the pipeline in full; the
-            # remaining non-trivial forms are valid but are not facets.
-            "new_family_orbit_size": len(new_orbit),
-            "new_family_derived": new_orbit <= other_keys,
-            "new_family_disjoint_from_lifted_ch": not (
-                new_orbit & orbit_key_set(ch_eta_3in(eta))
-            ),
-        }
+    derived = derive(eff, facets)
+    census = classification_census(derived)
+    new_orbit = orbit_key_set(i3223_1_eta(eta))
+    other_keys = {
+        d.result.key()
+        for d in derived
+        if d.classification is Classification.OTHER
+    }
+    report["derived"] = {
+        "census": census,
+        # The new family must come out of the pipeline in full; the
+        # remaining non-trivial forms are valid but are not facets.
+        "new_family_orbit_size": len(new_orbit),
+        "new_family_derived": new_orbit <= other_keys,
+        "new_family_disjoint_from_lifted_ch": not (
+            new_orbit & orbit_key_set(ch_eta_3in(eta))
+        ),
+    }
 
     report["facet_checks"] = {
         "ch_eta": ps_facet_check(eff, ch_eta_3in(eta)),

@@ -244,3 +244,23 @@ class TestErrorHandling:
         result = runner.invoke(main, ["verify-paper", "--budget", "1m"])
         assert result.exit_code == failed
         assert json.loads(result.stdout) == report
+
+
+def test_verify_paper_runs_dd_once_per_a_priori_polytope(monkeypatch):
+    # The census and derive claims share one facet list per scenario
+    # (`polytope.local_facets`), so the 81 vertices of the CHSH a-priori
+    # polytope go through double description once.
+    import pslocal.dd
+
+    sizes = []
+    extreme_rays = pslocal.dd.extreme_rays
+
+    def spy(rows, deadline=None):
+        sizes.append(len(rows))
+        return extreme_rays(rows, deadline=deadline)
+
+    monkeypatch.setattr(pslocal.dd, "extreme_rays", spy)
+    pslocal.polytope.local_facets.cache_clear()
+    report = pslocal.cli.run_verification(None)
+    assert report["summary"] == {"verified": 8, "failed": 0, "skipped": 0}
+    assert sizes.count(81) == 1

@@ -5,6 +5,7 @@ detection model's adjoint (`lift_functional`, `derive`), and the checks
 built on `linprog.slacks` (the slice figures, `verify_facet`)."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from pslocal.core import (
     JointTable,
     Scenario,
     is_nonsignaling,
+    slice_rows,
     to_cg,
     to_full,
 )
@@ -36,7 +38,8 @@ from pslocal.inequalities import (
     functional_to_full,
     inequality_from_key,
 )
-from pslocal.cli import emit_figure_data
+from pslocal.cli import _lps_keys, emit_figure_data
+from pslocal.linprog import slacks
 from pslocal.polytope import enumerate_facets, local_polytope, verify_facet
 from pslocal.psfacets import derive, lift_functional
 
@@ -234,3 +237,25 @@ def test_verify_facet_matches_the_vertex_loop(a_priori_facets, s0):
         ineq = inequality_from_key(s0, key)
         assert verify_facet(ineq, poly) == ref.verify_facet(ineq, poly)
     assert {verify_facet(inequality_from_key(s0, k), poly)["is_facet"] for k in keys} == {True, False}
+
+
+ETAS = [F(k, 20) for k in range(10, 21)]
+_PHIS = [2 * math.pi * k / 64 for k in range(64)]
+# Figure 1's circle samples and the grid-9 slice points, as `slice_rows`.
+DEFINITION_POINTS = slice_rows(
+    [tuple(F(c).limit_denominator(10 ** 9) for c in (math.cos(p) / math.sqrt(2), math.sin(p) / math.sqrt(2)))
+     for p in _PHIS]
+    + [(F(i, 4), F(j, 4)) for i in range(-4, 5) for j in range(-4, 5)]
+)
+
+
+@pytest.mark.parametrize("etaA", ETAS, ids=str)
+def test_lps_definition_matches_the_closed_forms(etaA):
+    # L_ps from its definition (the distinct lifted a-priori facets) gives
+    # the closed-form facet list's verdicts, which rest on `thresholds`.
+    for etaB in ETAS:
+        eff = Efficiencies(etaA, etaB)
+        closed = [f.key() for f in ref.lps_hrep(eff)]
+        got = (slacks(_lps_keys(eff), DEFINITION_POINTS) >= 0).all(axis=0)
+        want = (slacks(closed, DEFINITION_POINTS) >= 0).all(axis=0)
+        assert got.tolist() == want.tolist(), (etaA, etaB)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 import pslocal.linprog
 import pslocal.psfacets
 from pslocal.core import CHSH, Efficiencies, is_nonsignaling, lift, to_cg
-from pslocal.errors import CertificateInvalid, IdentityFailed, InvalidSetup
+from pslocal.errors import BudgetExceeded, CertificateInvalid, IdentityFailed, InvalidSetup
 from pslocal.inequalities import (
     THREE_INPUT_PS,
     ch,
@@ -205,16 +206,26 @@ class TestPsFacetCheck:
         assert report["valid"]
         assert not report["is_facet"]
 
-    def test_budget_fallback_certifies_claimed_families(self):
+    def test_budget_overrun_is_a_skipped_claim(self, monkeypatch):
+        # DD over its budget raises; verify-paper reports that claim as
+        # skipped-budget, not failed, and still exits 0.
+        from click.testing import CliRunner
+
+        from pslocal.cli import main
         from pslocal.psfacets import verify_appendix_b
 
-        report = verify_appendix_b(F(9, 10), facet_budget_seconds=0.001)
-        census = report["census"]
-        assert census["status"] == "skipped-budget"
-        checks = census["fallback_facet_checks"]
-        assert set(checks) == {"trivial", "ch", "new-1", "new-2", "new-3"}
-        assert all(c["valid"] and c["is_facet"] for c in checks.values())
-        assert report["facet_checks"]["i3223_1_eta"]["is_facet"]
+        with pytest.raises(BudgetExceeded):
+            verify_appendix_b(F(9, 10), facet_budget_seconds=0.001)
+
+        def overrun(eta, facet_budget_seconds=None):
+            raise BudgetExceeded("double description ran over its time budget")
+
+        monkeypatch.setattr(pslocal.psfacets, "verify_appendix_b", overrun)
+        result = CliRunner().invoke(main, ["verify-paper"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["claims"][-1] == {"id": "one-sided-census", "status": "skipped-budget"}
+        assert report["summary"] == {"verified": 7, "failed": 0, "skipped": 1}
 
     def test_unexpected_lp_status_raises(self, monkeypatch):
         # An LP over the bounded L_ps cannot be unbounded; the status check
