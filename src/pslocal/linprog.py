@@ -345,7 +345,7 @@ def solve_exact_system(rows: Sequence[Sequence], rhs: Sequence, n: int) -> List[
 class ExactMatrix(NamedTuple):
     """An LP matrix A, built once: ``rows[i]`` is row i of A times the
     positive integer ``scale[i]``, ``cols`` the columns of ``rows``,
-    ``dense`` A in floating point, ``ints`` ``rows`` as an integer array
+    ``dense`` A in floating point (None past float range), ``ints`` ``rows`` as an integer array
     (int64, or object past the `int_dtype` bound) and ``bound`` the largest
     |entry| of ``rows`` (1 if all are zero).  A dual y of A is y / scale on rows."""
 
@@ -366,7 +366,10 @@ def exact_matrix(A) -> ExactMatrix:
         ints, denom = common_denominator(row)
         rows.append(tuple(ints))
         scale.append(denom)
-    dense = np.array(rows, dtype=float) / np.array(scale, dtype=float)[:, None]
+    try:
+        dense = np.array(rows, dtype=float) / np.array(scale, dtype=float)[:, None]
+    except OverflowError:  # past float range: no float guide (dense is None)
+        dense = None
     bound = max((abs(v) for row in rows for v in row), default=0) or 1
     ints = np.array(rows, dtype=int_dtype(bound))
     return ExactMatrix(tuple(rows), tuple(scale), tuple(zip(*rows)), dense, ints, bound)
@@ -377,7 +380,8 @@ def with_rows(M: ExactMatrix, A) -> ExactMatrix:
     extra = exact_matrix(A)
     rows = M.rows + extra.rows
     return ExactMatrix(
-        rows, M.scale + extra.scale, tuple(zip(*rows)), np.vstack([M.dense, extra.dense]),
+        rows, M.scale + extra.scale, tuple(zip(*rows)),
+        None if M.dense is None or extra.dense is None else np.vstack([M.dense, extra.dense]),
         np.vstack([M.ints, extra.ints]), max(M.bound, extra.bound),
     )
 
@@ -448,6 +452,8 @@ def _guided_point(A, b, c) -> Optional[LPResult]:
         cf, bf = np.array(c, dtype=float), np.array(b, dtype=float)
     except OverflowError:  # b or c past float range
         return None
+    if M.dense is None:  # A past float range
+        return None
     guide = _float_optimum(M.dense, bf, cf)
     if guide is None:
         return None
@@ -498,9 +504,11 @@ def _guided_nnls(A, b, c) -> Optional[LPResult]:
     and the residual r = det B - R_P lam.  r = 0 makes lam / (det D) on P
     a point (Fractions where non-zero, else 0), optimal with y = 0 if c = 0.
     Otherwise r.R_P = 0 < r.B, and r on A's rows is the Farkas candidate
-    (`certify` checks r.R <= 0).  A b' beyond float range leaves no guide.
+    (`certify` checks r.R <= 0).  An A or b' beyond float range leaves no guide.
     """
     M = exact_matrix(A)
+    if M.dense is None:  # A past float range
+        return None
     B, D = b if isinstance(b, Numerators) else common_denominator(b)
     B = _scaled(M, B)
     try:

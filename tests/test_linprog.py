@@ -499,8 +499,7 @@ def test_int_matmul_matches_python_ints(data):
 def test_slacks_match_fraction_slack(data):
     """S[i, j] is den_j times `Inequality.slack` of key i at point j, for
     entries near the float64 limit of the product, past 2**53, past 2**62
-    and past float range (as rows, and below float range as their
-    `exact_matrix` too)."""
+    and past float range (as rows and as their `exact_matrix`)."""
     tops = [7, isqrt(2 ** 53 // 9), 2 ** 27, 2 ** 53 + 1, 2 ** 62 + 1, 2 ** 1100]
     top = data.draw(st.sampled_from(tops))
     entry = st.one_of(st.sampled_from([top, -top, top - 1, 0, 1]), st.integers(-top, top))
@@ -514,8 +513,7 @@ def test_slacks_match_fraction_slack(data):
         for k in keys
     ]
     assert slacks(keys, rows).tolist() == want
-    if top < 2 ** 1000:
-        assert slacks(keys, exact_matrix(rows)).tolist() == want
+    assert slacks(keys, exact_matrix(rows)).tolist() == want
 
 
 def test_objective_lp_past_float_range():
@@ -526,3 +524,14 @@ def test_objective_lp_past_float_range():
     result = solve_lp([[1, 1]], [big], [1, 0])
     assert result.status == OPTIMAL and result.objective == 0
     assert result.x == [0, big]
+
+
+@pytest.mark.parametrize("A, c", [([[2 ** 1100, 1]], [0, 0]), ([[F(1, 2 ** 1100), 1]], [1, 0])])
+def test_matrix_past_float_range(A, c):
+    """A past float range has no float copy, so neither guide runs; the
+    exact simplex decides and its answer is certified."""
+    assert exact_matrix(A).dense is None
+    assert _guided_point(A, [1], c) is None and _guided_nnls(A, [1], c) is None
+    result = solve_lp(A, [1], c)
+    certify(A, [1], c, result)
+    assert result.status == solve_equality_form(A, [1], c).status == OPTIMAL
