@@ -222,6 +222,25 @@ class TestErrorHandling:
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("value", [pslocal.cli.GRID_MAX + 1, 10 ** 8])
+    @pytest.mark.parametrize("verb", [
+        ["slice", "--etaA", "0.8", "--etaB", "0.8"],
+        ["figure", "--figure", "1"],
+        ["regions"],
+    ])
+    def test_grid_past_its_cap_is_a_usage_error(self, runner, monkeypatch, verb, value):
+        for name in ("_slice_rows", "emit_figure_data"):  # no grid is built
+            monkeypatch.setattr(pslocal.cli, name, None)
+        result = runner.invoke(main, verb + ["--grid", str(value)])
+        assert result.exit_code == 2 and "Invalid value for '--grid'" in result.output
+
+    @pytest.mark.parametrize("value", [pslocal.cli.RESTARTS_MAX + 1, 10 ** 8])
+    def test_restarts_past_their_cap_are_a_usage_error(self, runner, monkeypatch, value):
+        monkeypatch.setattr(pslocal.cli, "quantum", None)  # no search runs
+        args = ["quantum", "--etaA", "0.9", "--etaB", "0.9", "--restarts", str(value)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and "Invalid value for '--restarts'" in result.output
+
     def test_threads_option_is_gone(self, runner):
         assert runner.invoke(main, ["--threads", "1", "vertices"]).exit_code == 2
 
