@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -72,3 +73,37 @@ def test_runs_without_a_speed_sample_are_told_apart():
     assert summary["failed_runs"] == {"parent": 1, "change": 2}
     assert summary["no_speed_sample_runs"] == {"parent": 1, "change": 0}
     assert summary["membership"]["op_p50_ref_s"]["pairs"] == 2
+
+
+def test_verify_paper_runs_are_timed_digested_and_summarized(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kw):
+        calls.append((cmd, kw))
+        return subprocess.CompletedProcess(cmd, 0, stdout=b'{"claims": []}\n', stderr=b"")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    fresh = bench_pairs.verify_paper_once("tree")
+    (cmd, kw), = calls
+    assert cmd[1:] == ["-m", "pslocal.cli", "verify-paper"] and kw["cwd"] == "tree"
+    assert kw["env"]["PYTHONPATH"] == os.path.join("tree", "src")
+    assert kw["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert fresh["exit_code"] == 0 and fresh["wall_s"] >= 0
+    assert fresh["stdout_sha256"] == hashlib.sha256(b'{"claims": []}\n').hexdigest()
+
+    def runs(parent, change, digests=("a", "a"), failed=()):
+        out = []
+        for i, (p, c) in enumerate(zip(parent, change)):
+            pair = {}
+            for side, wall, digest in (("parent", p, digests[0]), ("change", c, digests[1])):
+                code = 1 if (i, side) in failed else 0
+                pair[side] = {"verify_paper": {"wall_s": wall, "exit_code": code, "stdout_sha256": digest}}
+            out.append(pair)
+        return out
+
+    summary = bench_pairs.summarize_verify_paper(runs([2, 2, 3, 2, 2], [1, 1, 1, 3, 1], failed={(2, "change")}))
+    assert summary["failed_runs"] == {"parent": 0, "change": 1}
+    assert not summary["output_changed"]
+    assert summary["wall_s"]["pairs"] == 4 and summary["wall_s"]["change_wins"] == 3
+    assert summary["wall_s"]["parent"] == {"median": 2, "q1": 2, "q3": 2}
+    assert bench_pairs.summarize_verify_paper(runs([2, 2], [1, 1], digests=("a", "b")))["output_changed"]

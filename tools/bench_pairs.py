@@ -22,12 +22,22 @@ side).  ``gain`` holds when the change won at least nine tenths of the
 pairs and its median beats the parent's by more than the parent's
 interquartile range; ``within_bound`` when the change's median is no
 worse than the parent's by more than the relative bound that
-BENCHMARK.json fixes for the metric.  Only the standard library is used.
+BENCHMARK.json fixes for the metric.
+
+After each side's benchmark run, one fresh ``python -m pslocal.cli
+verify-paper`` runs in that side's tree (its ``src`` on ``PYTHONPATH``, one
+BLAS thread), and its wall time, exit code and the sha256 of its stdout
+are recorded.  Per seed, ``verify_paper`` summarizes the wall times of the
+pairs in which both sides exited 0 (median, quartiles and the change's
+wins, with no bound), each side's runs that exited non-zero, and
+``output_changed``: whether the two sides' stdout digests ever differ.
+Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -37,6 +47,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -79,6 +90,22 @@ def run_once(tree: str, seed: int, seconds: float) -> dict:
     return {"exit_code": 0, "attempted": out["attempted"], "failed": out["failed"], "metrics": metrics}
 
 
+def verify_paper_once(tree: str) -> dict:
+    """One fresh ``verify-paper`` run in ``tree``: its wall time, exit code
+    and the sha256 of its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update((var, "1") for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pslocal.cli", "verify-paper"], cwd=tree, env=env, capture_output=True
+    )
+    return {
+        "wall_s": time.perf_counter() - start,
+        "exit_code": proc.returncode,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+    }
+
+
 def spread(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -103,22 +130,39 @@ def summarize(runs: list, spec: dict) -> dict:
     for workload, metrics in ok[0]["parent"]["metrics"].items():
         for metric in metrics:
             lower = spec[metric]["better"] == "lower"
-            values = {side: [r[side]["metrics"][workload][metric] for r in ok] for side in SIDES}
-            sign = 1 if lower else -1
-            wins = sum(
-                1 for p, c in zip(values["parent"], values["change"]) if sign * (p - c) > 0
-            )
-            parent, change = spread(values["parent"]), spread(values["change"])
-            gain = sign * (parent["median"] - change["median"])
-            entry = {
-                "parent": parent,
-                "change": change,
-                "change_wins": wins,
-                "pairs": len(ok),
-                "gain": wins >= 0.9 * len(ok) and gain > parent["q3"] - parent["q1"],
-                "within_bound": -gain <= spec[metric]["bound"] * parent["median"],
-            }
+            entry = compare({side: [r[side]["metrics"][workload][metric] for r in ok] for side in SIDES}, lower)
+            gain = (1 if lower else -1) * (entry["parent"]["median"] - entry["change"]["median"])
+            parent = entry["parent"]
+            entry["gain"] = entry["change_wins"] >= 0.9 * len(ok) and gain > parent["q3"] - parent["q1"]
+            entry["within_bound"] = -gain <= spec[metric]["bound"] * parent["median"]
             summary.setdefault(workload, {})[metric] = entry
+    return summary
+
+
+def compare(values: dict, lower: bool = True) -> dict:
+    """Both sides' spread over paired values, and the pairs the change won
+    (ties count for neither side)."""
+    sign = 1 if lower else -1
+    wins = sum(1 for p, c in zip(values["parent"], values["change"]) if sign * (p - c) > 0)
+    return {
+        "parent": spread(values["parent"]),
+        "change": spread(values["change"]),
+        "change_wins": wins,
+        "pairs": len(values["parent"]),
+    }
+
+
+def summarize_verify_paper(runs: list) -> dict:
+    """The ``verify_paper`` summary of one seed's pairs (see the module
+    docstring)."""
+    fresh = [{side: r[side]["verify_paper"] for side in SIDES} for r in runs]
+    ok = [f for f in fresh if all(f[side]["exit_code"] == 0 for side in SIDES)]
+    summary = {
+        "failed_runs": {side: sum(f[side]["exit_code"] != 0 for f in fresh) for side in SIDES},
+        "output_changed": any(f["parent"]["stdout_sha256"] != f["change"]["stdout_sha256"] for f in fresh),
+    }
+    if len(ok) >= 2:
+        summary["wall_s"] = compare({side: [f[side]["wall_s"] for f in ok] for side in SIDES})
     return summary
 
 
@@ -146,10 +190,12 @@ def main() -> int:
                 pair = {"first": order[0]}
                 for side in order:
                     run = pair[side] = run_once(trees[side], seed, seconds)
+                    run["verify_paper"] = verify_paper_once(trees[side])
                     status = f"{run['failed']} failed" if "metrics" in run else f"exited {run['exit_code']}"
                     print(f"seed {seed} pair {i + 1}/{PAIRS} {side}: {status}", file=sys.stderr)
                 runs[seed].append(pair)
             summary[seed] = summarize(runs[seed], spec)
+            summary[seed]["verify_paper"] = summarize_verify_paper(runs[seed])
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
