@@ -345,9 +345,10 @@ def solve_exact_system(rows: Sequence[Sequence], rhs: Sequence, n: int) -> List[
 class ExactMatrix(NamedTuple):
     """An LP matrix A, built once: ``rows[i]`` is row i of A times the
     positive integer ``scale[i]``, ``cols`` the columns of ``rows``,
-    ``dense`` A in floating point (None past float range), ``ints`` ``rows`` as an integer array
-    (int64, or object past the `int_dtype` bound) and ``bound`` the largest
-    |entry| of ``rows`` (1 if all are zero).  A dual y of A is y / scale on rows."""
+    ``dense`` A in floating point (None past float range), ``ints``
+    ``rows`` as an integer array (int64, or object past the `int_dtype`
+    bound) and ``bound`` the largest |entry| of ``rows`` (1 if all are
+    zero).  A dual y of A is y / scale on rows."""
 
     rows: tuple
     scale: tuple
