@@ -3,7 +3,10 @@
 Every verb maps onto one module operation chain and emits deterministic
 JSON or CSV.  Exit codes: 0 on success (a negative membership answer is
 still success), 1 on domain errors and on a failed `verify-paper` claim,
-2 on usage errors.
+2 on usage errors (also a ``--grid`` or ``--restarts`` past its cap).
+L_ps in `slice` and figures 1 and 2 comes from its definition
+(`psfacets.lifted_keys`); a `verify-paper` claim that overruns its budget
+is ``skipped-budget``.
 """
 
 from __future__ import annotations

@@ -453,9 +453,7 @@ def _guided_point(A, b, c) -> Optional[LPResult]:
         cf, bf = np.array(c, dtype=float), np.array(b, dtype=float)
     except OverflowError:  # b or c past float range
         return None
-    if M.dense is None:  # A past float range
-        return None
-    guide = _float_optimum(M.dense, bf, cf)
+    guide = None if M.dense is None else _float_optimum(M.dense, bf, cf)  # None: A past float range
     if guide is None:
         return None
     xf, yf = guide

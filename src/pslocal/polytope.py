@@ -223,9 +223,8 @@ def enumerate_facets(
 
 @lru_cache(maxsize=None)
 def local_facets(s: Scenario) -> tuple:
-    """`enumerate_facets` of the scenario's local polytope, without a
-    budget, run once per scenario and kept (`enumerate_facets` itself runs
-    DD on every call)."""
+    """`enumerate_facets` of the scenario's local polytope, without a budget,
+    run once per scenario and kept (`enumerate_facets` runs DD each call)."""
     return tuple(enumerate_facets(local_polytope(s)))
 
 

@@ -3,10 +3,12 @@
 This module carries the derivation pipeline: every facet of the local
 a-priori polytope, rewritten through the detection model, yields a valid
 inequality for the post-selected local polytope L_ps(etaA, etaB) (one
-integer product with the detection map's adjoint, `core._lift_keys`).  The
-resulting inequalities are sorted into families (trivial, the two bounds
-of the efficiency-weighted CH expression, the implied CGLMP-derived form,
-or genuinely new), and the algebraic identities behind the facet
+integer product with the detection map's adjoint, `lifted_keys`).  As L_ps
+holds the correlations whose lift is a-priori local, the distinct lifts of
+all those facets are an H-representation of it.  The resulting
+inequalities are sorted into families (trivial, the two bounds of the
+efficiency-weighted CH expression, the implied CGLMP-derived form, or
+genuinely new), and the algebraic identities behind the facet
 classification are verified exactly: the decompositions that make each
 bound trivial or implied in the corresponding efficiency regions, the
 saturating correlations proving facet-ness of the upper bound, and the
