@@ -241,12 +241,15 @@ def test_verify_facet_matches_the_vertex_loop(a_priori_facets, s0):
 
 ETAS = [F(k, 20) for k in range(10, 21)]
 _PHIS = [2 * math.pi * k / 64 for k in range(64)]
-# Figure 1's circle samples and the grid-9 slice points, as `slice_rows`.
-DEFINITION_POINTS = slice_rows(
-    [tuple(F(c).limit_denominator(10 ** 9) for c in (math.cos(p) / math.sqrt(2), math.sin(p) / math.sqrt(2)))
-     for p in _PHIS]
-    + [(F(i, 4), F(j, 4)) for i in range(-4, 5) for j in range(-4, 5)]
-)
+# Figure 1's circle samples and the grid-9 slice points, as `slice_rows`
+# (apart: the circle's denominators put its slacks past int64).
+DEFINITION_POINTS = [
+    slice_rows([
+        tuple(F(c).limit_denominator(10 ** 9) for c in (math.cos(p) / math.sqrt(2), math.sin(p) / math.sqrt(2)))
+        for p in _PHIS
+    ]),
+    slice_rows([(F(i, 4), F(j, 4)) for i in range(-4, 5) for j in range(-4, 5)]),
+]
 
 
 @pytest.mark.parametrize("etaA", ETAS, ids=str)
@@ -255,7 +258,8 @@ def test_lps_definition_matches_the_closed_forms(etaA):
     # the closed-form facet list's verdicts, which rest on `thresholds`.
     for etaB in ETAS:
         eff = Efficiencies(etaA, etaB)
-        closed = [f.key() for f in ref.lps_hrep(eff)]
-        got = (slacks(_lps_keys(eff), DEFINITION_POINTS) >= 0).all(axis=0)
-        want = (slacks(closed, DEFINITION_POINTS) >= 0).all(axis=0)
-        assert got.tolist() == want.tolist(), (etaA, etaB)
+        keys, closed = _lps_keys(eff), [f.key() for f in ref.lps_hrep(eff)]
+        for points in DEFINITION_POINTS:
+            got = (slacks(keys, points) >= 0).all(axis=0)
+            want = (slacks(closed, points) >= 0).all(axis=0)
+            assert got.tolist() == want.tolist(), (etaA, etaB)
